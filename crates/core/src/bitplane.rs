@@ -12,18 +12,12 @@
 //! * [`StatePlanes::OpinionOnly`] — no aux plane at all (voter,
 //!   3-majority);
 //! * [`StatePlanes::OpinionPlusPacked`]`{ bits }` — exactly `bits` bits
-//!   per agent: a [`NibblePlane`] (16 agents/word) when `bits = 4`, an
-//!   interleaved [`BitSlicedPlane`] otherwise. For FET with `ℓ = 5` this
-//!   is 3 bits/agent — ~375 MB at `n = 10⁹` instead of the byte plane's
-//!   1 GB;
+//!   per agent in an interleaved [`BitSlicedPlane`]. For FET with
+//!   `ℓ = 5` this is 3 bits/agent — ~375 MB at `n = 10⁹` instead of the
+//!   byte plane's 1 GB;
 //! * [`StatePlanes::OpinionPlusByte`] — one byte per agent, the 8-bit
 //!   fast path (direct byte addressing, same memory as an 8-bit sliced
 //!   plane).
-//!
-//! When `bits < 4` the bit-sliced plane is strictly smaller than a
-//! nibble plane, so the nibble fast path is taken only when it is free
-//! (`bits = 4`, FET's `ℓ ∈ [8, 15]`): exact width wins whenever the two
-//! layouts differ in memory.
 //!
 //! # Packability contract
 //!
@@ -39,29 +33,44 @@
 //!
 //! # Word-at-a-time kernels
 //!
-//! [`StatePlanes::OpinionOnly`] protocols whose update is a pure
-//! threshold on the observation ([`Protocol::opinion_threshold`] is
-//! `Some`) skip the per-agent unpack → step → repack walk entirely: the
-//! fused round asks the source for one *threshold word* per 64 agents
-//! ([`ObservationSource::next_threshold_word`]) and writes it straight
-//! into the opinion plane, counting by popcount. The mean-field source
-//! overrides the word draw to hoist its per-draw virtual dispatch,
-//! sampler match, and fault check out of the loop, which is where the
-//! measured ≥ 2× per-round win over the per-agent packed loop comes from
-//! (`fet-bench`'s `word_kernel`).
+//! Every fused round steps the planes one 64-agent word-group at a
+//! time; there is no per-agent bit gather or scatter. Two kernels exist:
+//!
+//! * **Tile kernel** (every protocol without a threshold rule, FET
+//!   included). A group's opinion word and aux values are decoded into
+//!   a stack tile of 64 [`Protocol::State`]s: the sliced plane's `bits`
+//!   slice words go through an 8×8 byte transpose and one 8×8 bit
+//!   transpose per 8 agents, all in registers; the byte plane is a plain
+//!   copy. The protocol's own [`Protocol::step_fused`] then runs over
+//!   the tile — for FET the very kernel typed storage runs — and the
+//!   tile is re-encoded by the same transposes in reverse order. The
+//!   tile lives on the stack and is built once per slice, so a round
+//!   allocates nothing.
+//! * **Threshold kernel** ([`StatePlanes::OpinionOnly`] protocols whose
+//!   update is a pure threshold on the observation,
+//!   [`Protocol::opinion_threshold`] is `Some`). The fused round asks
+//!   the source for one *threshold word* per 64 agents
+//!   ([`ObservationSource::next_threshold_word`]) and writes it straight
+//!   into the opinion plane, counting by popcount. The mean-field source
+//!   overrides the word draw to hoist its per-draw virtual dispatch,
+//!   sampler match, and fault check out of the loop (`fet-bench`'s
+//!   `word_kernel`).
 //!
 //! # Trajectory identity
 //!
-//! [`BitPopulation`] steps each agent by unpack → [`Protocol::step`] →
-//! repack, drawing observations and randomness in exactly the per-agent
-//! order the kernel contract pins for every other representation; the
-//! word-at-a-time kernel draws the very same observation stream 64
-//! agents at a time (see the contract on
-//! [`ObservationSource::next_threshold_word`]). A bit-plane run is
+//! Both kernels draw observations and randomness agent by agent in
+//! index order, exactly the order the kernel contract pins for every
+//! other representation: the tile kernel hands each tile to
+//! [`Protocol::step_fused`], whose overrides are stream-identical to the
+//! per-agent [`Protocol::step`] loop, and the threshold kernel draws the
+//! same observation stream 64 agents at a time (see the contract on
+//! [`ObservationSource::next_threshold_word`]). A tile batches the
+//! kernel call, never the draws. A bit-plane run is
 //! therefore **bit-identical** to the typed, boxed, and
 //! population-erased runs of the same `(seed, shard count)` — the
 //! property `tests/erasure_equivalence.rs` extends to 4-way — and the
-//! aux-plane layout (byte, nibble, bit-sliced) never enters the stream.
+//! aux-plane layout (byte or bit-sliced, at any width) never enters the
+//! stream.
 //!
 //! # Word-aligned sharding
 //!
@@ -70,8 +79,8 @@
 //! [`ShardPlan::shard_range`](crate::shard::ShardPlan::shard_range)
 //! guarantees range starts that are multiples of 64 agents for every
 //! population size and shard count, which is word-aligned for **every**
-//! plane width at once: 64 agents are 1 opinion word, 4 nibble words,
-//! and exactly `bits` interleaved sliced words.
+//! plane width at once: 64 agents are 1 opinion word, 64 bytes, and
+//! exactly `bits` interleaved sliced words.
 //! [`BitPopulation::step_fused_parallel_inplace`] relies on it.
 
 use crate::memory::MemoryFootprint;
@@ -85,9 +94,6 @@ use std::fmt;
 
 /// Bits per plane word.
 pub const WORD_BITS: usize = 64;
-
-/// Nibbles (4-bit values) per [`NibblePlane`] word.
-pub const NIBBLES_PER_WORD: usize = 16;
 
 /// A dense bit vector packed 64 bits per `u64` word — the opinion plane.
 ///
@@ -187,104 +193,6 @@ impl BitPlane {
     /// trailing-bits-zero invariant.
     pub fn words_mut(&mut self) -> &mut [u64] {
         &mut self.words
-    }
-
-    /// Heap bytes the word storage holds (capacity, not length).
-    pub fn resident_bytes(&self) -> usize {
-        self.words.capacity() * std::mem::size_of::<u64>()
-    }
-}
-
-/// A dense vector of 4-bit values packed 16 per `u64` word — the
-/// `bits = 4` fast path of the packed aux plane (FET's clock for
-/// `ℓ ∈ [8, 15]`).
-///
-/// Nibble `i` occupies bits `4·(i mod 16) .. 4·(i mod 16)+4` of word
-/// `i / 16`: one shift-and-mask per access, against the bit-sliced
-/// layout's one access per bit. Invariant: nibbles at positions
-/// `len()..` of the trailing word are zero.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NibblePlane {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl NibblePlane {
-    /// An empty plane.
-    pub fn new() -> Self {
-        NibblePlane::default()
-    }
-
-    /// A plane of `len` zero nibbles.
-    pub fn zeroed(len: usize) -> Self {
-        NibblePlane {
-            words: vec![0; len.div_ceil(NIBBLES_PER_WORD)],
-            len,
-        }
-    }
-
-    /// Number of nibbles stored.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when no nibbles are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Pre-allocates room for `additional` more nibbles.
-    pub fn reserve(&mut self, additional: usize) {
-        let want = (self.len + additional).div_ceil(NIBBLES_PER_WORD);
-        self.words.reserve(want.saturating_sub(self.words.len()));
-    }
-
-    /// Appends one value.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `value ≥ 16` (debug builds assert; release builds
-    /// store the low nibble).
-    pub fn push(&mut self, value: u8) {
-        debug_assert!(value < 16, "nibble value {value} out of range");
-        if self.len.is_multiple_of(NIBBLES_PER_WORD) {
-            self.words.push(0);
-        }
-        let shift = (self.len % NIBBLES_PER_WORD) * 4;
-        let word = self.words.last_mut().expect("word pushed above");
-        *word |= u64::from(value & 0xF) << shift;
-        self.len += 1;
-    }
-
-    /// The value at `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `idx ≥ len()`.
-    #[inline]
-    pub fn get(&self, idx: usize) -> u8 {
-        assert!(idx < self.len, "nibble index {idx} out of {}", self.len);
-        ((self.words[idx / NIBBLES_PER_WORD] >> ((idx % NIBBLES_PER_WORD) * 4)) & 0xF) as u8
-    }
-
-    /// Sets the value at `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `idx ≥ len()` (and, in debug builds, when
-    /// `value ≥ 16`).
-    #[inline]
-    pub fn set(&mut self, idx: usize, value: u8) {
-        assert!(idx < self.len, "nibble index {idx} out of {}", self.len);
-        debug_assert!(value < 16, "nibble value {value} out of range");
-        let shift = (idx % NIBBLES_PER_WORD) * 4;
-        let word = &mut self.words[idx / NIBBLES_PER_WORD];
-        *word = (*word & !(0xFu64 << shift)) | (u64::from(value & 0xF) << shift);
-    }
-
-    /// The packed words, read-only.
-    pub fn words(&self) -> &[u64] {
-        &self.words
     }
 
     /// Heap bytes the word storage holds (capacity, not length).
@@ -447,10 +355,7 @@ pub enum AuxPlane {
     None,
     /// One byte per agent ([`StatePlanes::OpinionPlusByte`]).
     Bytes(Vec<u8>),
-    /// Four bits per agent
-    /// ([`StatePlanes::OpinionPlusPacked`]` { bits: 4 }`).
-    Nibbles(NibblePlane),
-    /// Exactly `bits ≠ 4` bits per agent
+    /// Exactly `bits` bits per agent
     /// ([`StatePlanes::OpinionPlusPacked`]).
     Sliced(BitSlicedPlane),
 }
@@ -467,7 +372,6 @@ impl AuxPlane {
             StatePlanes::Unpacked => panic!("Unpacked states have no aux plane"),
             StatePlanes::OpinionOnly => AuxPlane::None,
             StatePlanes::OpinionPlusByte => AuxPlane::Bytes(Vec::new()),
-            StatePlanes::OpinionPlusPacked { bits: 4 } => AuxPlane::Nibbles(NibblePlane::new()),
             StatePlanes::OpinionPlusPacked { bits } => AuxPlane::Sliced(BitSlicedPlane::new(bits)),
         }
     }
@@ -478,7 +382,6 @@ impl AuxPlane {
         match self {
             AuxPlane::None => 0,
             AuxPlane::Bytes(b) => b[idx],
-            AuxPlane::Nibbles(p) => p.get(idx),
             AuxPlane::Sliced(p) => p.get(idx),
         }
     }
@@ -489,7 +392,6 @@ impl AuxPlane {
         match self {
             AuxPlane::None => {}
             AuxPlane::Bytes(b) => b[idx] = value,
-            AuxPlane::Nibbles(p) => p.set(idx, value),
             AuxPlane::Sliced(p) => p.set(idx, value),
         }
     }
@@ -499,7 +401,6 @@ impl AuxPlane {
         match self {
             AuxPlane::None => {}
             AuxPlane::Bytes(b) => b.push(value),
-            AuxPlane::Nibbles(p) => p.push(value),
             AuxPlane::Sliced(p) => p.push(value),
         }
     }
@@ -509,7 +410,6 @@ impl AuxPlane {
         match self {
             AuxPlane::None => {}
             AuxPlane::Bytes(b) => b.reserve(additional),
-            AuxPlane::Nibbles(p) => p.reserve(additional),
             AuxPlane::Sliced(p) => p.reserve(additional),
         }
     }
@@ -519,7 +419,6 @@ impl AuxPlane {
         match self {
             AuxPlane::None => 0,
             AuxPlane::Bytes(b) => b.capacity(),
-            AuxPlane::Nibbles(p) => p.resident_bytes(),
             AuxPlane::Sliced(p) => p.resident_bytes(),
         }
     }
@@ -529,7 +428,6 @@ impl AuxPlane {
         match self {
             AuxPlane::None => AuxSliceMut::None,
             AuxPlane::Bytes(b) => AuxSliceMut::Bytes(b),
-            AuxPlane::Nibbles(p) => AuxSliceMut::Nibbles(&mut p.words),
             AuxPlane::Sliced(p) => AuxSliceMut::Sliced {
                 bits: p.bits,
                 words: &mut p.words,
@@ -546,8 +444,6 @@ enum AuxSliceMut<'a> {
     None,
     /// Byte plane slice.
     Bytes(&'a mut [u8]),
-    /// Nibble plane words (16 agents per word).
-    Nibbles(&'a mut [u64]),
     /// Interleaved bit-sliced plane words (64 agents per `bits` words).
     Sliced { bits: u8, words: &'a mut [u64] },
 }
@@ -566,12 +462,6 @@ impl<'a> AuxSliceMut<'a> {
                 let (head, tail) = b.split_at_mut(agents);
                 (AuxSliceMut::Bytes(head), AuxSliceMut::Bytes(tail))
             }
-            AuxSliceMut::Nibbles(w) => {
-                let at = agents.div_ceil(NIBBLES_PER_WORD);
-                debug_assert!(at == w.len() || agents.is_multiple_of(WORD_BITS));
-                let (head, tail) = w.split_at_mut(at);
-                (AuxSliceMut::Nibbles(head), AuxSliceMut::Nibbles(tail))
-            }
             AuxSliceMut::Sliced { bits, words } => {
                 let at = agents.div_ceil(WORD_BITS) * bits as usize;
                 debug_assert!(at == words.len() || agents.is_multiple_of(WORD_BITS));
@@ -583,93 +473,120 @@ impl<'a> AuxSliceMut<'a> {
             }
         }
     }
-}
 
-/// Monomorphized per-agent aux access for the packed round kernel: one
-/// instantiation per plane layout, so the hot loop carries no per-agent
-/// layout dispatch.
-trait AuxAccess {
-    fn get(&self, idx: usize) -> u8;
-    fn set(&mut self, idx: usize, value: u8);
-}
-
-/// No aux plane: reads 0, writes vanish.
-struct NoAux;
-
-impl AuxAccess for NoAux {
-    #[inline(always)]
-    fn get(&self, _idx: usize) -> u8 {
-        0
-    }
-    #[inline(always)]
-    fn set(&mut self, _idx: usize, _value: u8) {}
-}
-
-struct ByteAux<'a>(&'a mut [u8]);
-
-impl AuxAccess for ByteAux<'_> {
-    #[inline(always)]
-    fn get(&self, idx: usize) -> u8 {
-        self.0[idx]
-    }
-    #[inline(always)]
-    fn set(&mut self, idx: usize, value: u8) {
-        self.0[idx] = value;
-    }
-}
-
-struct NibbleAux<'a>(&'a mut [u64]);
-
-impl AuxAccess for NibbleAux<'_> {
-    #[inline(always)]
-    fn get(&self, idx: usize) -> u8 {
-        ((self.0[idx / NIBBLES_PER_WORD] >> ((idx % NIBBLES_PER_WORD) * 4)) & 0xF) as u8
-    }
-    #[inline(always)]
-    fn set(&mut self, idx: usize, value: u8) {
-        let shift = (idx % NIBBLES_PER_WORD) * 4;
-        let word = &mut self.0[idx / NIBBLES_PER_WORD];
-        *word = (*word & !(0xFu64 << shift)) | (u64::from(value & 0xF) << shift);
-    }
-}
-
-struct SlicedAux<'a> {
-    bits: u8,
-    words: &'a mut [u64],
-}
-
-impl AuxAccess for SlicedAux<'_> {
-    #[inline(always)]
-    fn get(&self, idx: usize) -> u8 {
-        let base = (idx / WORD_BITS) * self.bits as usize;
-        let bit = idx % WORD_BITS;
-        let mut value = 0u8;
-        for j in 0..self.bits as usize {
-            value |= (((self.words[base + j] >> bit) & 1) as u8) << j;
+    /// Decodes word-group `group`'s aux values into `tile`, one byte per
+    /// agent (agent `64·group + a` lands in `tile[a]`). Slots past the
+    /// view's last agent read 0.
+    #[inline]
+    fn load_tile(&self, group: usize, tile: &mut [u8; WORD_BITS]) {
+        match self {
+            AuxSliceMut::None => *tile = [0; WORD_BITS],
+            AuxSliceMut::Bytes(b) => {
+                let values = &b[group * WORD_BITS..b.len().min((group + 1) * WORD_BITS)];
+                tile[..values.len()].copy_from_slice(values);
+                tile[values.len()..].fill(0);
+            }
+            AuxSliceMut::Sliced { bits, words } => {
+                let bits = *bits as usize;
+                // Fixed-length gathers and scatters keep the group in
+                // registers; a `bits`-long slice copy compiles to a
+                // `memcpy` call per group.
+                let slices = &words[group * bits..(group + 1) * bits];
+                let mut rows = std::array::from_fn(|j| slices.get(j).copied().unwrap_or(0));
+                transpose_bytes8x8(&mut rows);
+                for (values, row) in tile.chunks_exact_mut(8).zip(rows) {
+                    values.copy_from_slice(&transpose8x8(row).to_le_bytes());
+                }
+            }
         }
-        value
     }
-    #[inline(always)]
-    fn set(&mut self, idx: usize, value: u8) {
-        let base = (idx / WORD_BITS) * self.bits as usize;
-        let mask = 1u64 << (idx % WORD_BITS);
-        for j in 0..self.bits as usize {
-            let word = &mut self.words[base + j];
-            *word = (*word & !mask) | (u64::from((value >> j) & 1) * mask);
+
+    /// Writes `tile` back as word-group `group` — the inverse of
+    /// [`AuxSliceMut::load_tile`]. Slots past the view's last agent must
+    /// be 0, which keeps the sliced plane's trailing bits clear.
+    #[inline]
+    fn store_tile(&mut self, group: usize, tile: &[u8; WORD_BITS]) {
+        match self {
+            AuxSliceMut::None => {}
+            AuxSliceMut::Bytes(b) => {
+                let end = b.len().min((group + 1) * WORD_BITS);
+                let values = &mut b[group * WORD_BITS..end];
+                let n = values.len();
+                values.copy_from_slice(&tile[..n]);
+            }
+            AuxSliceMut::Sliced { bits, words } => {
+                let bits = *bits as usize;
+                let mut rows = [0u64; 8];
+                for (row, values) in rows.iter_mut().zip(tile.chunks_exact(8)) {
+                    let values = values.try_into().expect("chunks_exact(8) yields 8 bytes");
+                    *row = transpose8x8(u64::from_le_bytes(values));
+                }
+                transpose_bytes8x8(&mut rows);
+                let slices = &mut words[group * bits..(group + 1) * bits];
+                for (j, row) in rows.into_iter().enumerate() {
+                    if let Some(slice) = slices.get_mut(j) {
+                        *slice = row;
+                    }
+                }
+            }
         }
     }
 }
 
-/// The per-agent packed kernel, monomorphized per aux layout: unpack →
-/// [`Protocol::step`] → repack, each opinion word read once, rebuilt in
-/// a register, and written once. Observations and randomness are drawn
-/// in per-agent index order, so the stream is identical to every other
-/// representation's kernel.
+// The sliced tile codec. A word-group's `bits ≤ 8` slice words, padded
+// with zero words to 8 rows, form a 64×8 bit matrix: bit `8k + a` of row
+// `j` is bit `j` of agent `8k + a`'s value. Decoding is two transposes:
+// the byte transpose gathers byte `k` of every row into row `k` (the
+// 8×8 bit matrix of agents `8k..8k+8`, slice `j` in byte `j`), and the
+// bit transpose of that row puts agent `8k + a`'s value in byte `a`.
+// Both are involutions, so encoding runs them in the opposite order.
+
+/// Transposes an 8×8 bit matrix held one row per byte: bit `c` of byte
+/// `r` trades places with bit `r` of byte `c` (three masked
+/// swap-by-xor steps, Hacker's Delight §7-3).
+#[inline(always)]
+fn transpose8x8(mut x: u64) -> u64 {
+    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    x ^= t ^ (t << 7);
+    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    x ^= t ^ (t << 14);
+    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^= t ^ (t << 28);
+    x
+}
+
+/// Transposes the 8×8 byte matrix `rows`: byte `k` of `rows[j]` trades
+/// places with byte `j` of `rows[k]`, by swapping half-, quarter- and
+/// eighth-words between row pairs.
+#[inline(always)]
+fn transpose_bytes8x8(rows: &mut [u64; 8]) {
+    for (shift, mask) in [
+        (32, 0x0000_0000_FFFF_FFFFu64),
+        (16, 0x0000_FFFF_0000_FFFF),
+        (8, 0x00FF_00FF_00FF_00FF),
+    ] {
+        let stride = shift / 8;
+        for j in (0..8).filter(|j| j & stride == 0) {
+            let t = ((rows[j] >> shift) ^ rows[j + stride]) & mask;
+            rows[j + stride] ^= t;
+            rows[j] ^= t << shift;
+        }
+    }
+}
+
+/// The packed round kernel for every aux layout, 64 agents at a time:
+/// decode a word-group's opinion word and aux values into a stack tile
+/// of [`Protocol::State`]s, run the protocol's own
+/// [`Protocol::step_fused`] over the tile — for FET the very kernel
+/// typed storage runs — and re-encode opinion word and aux values.
+/// The tile is built once per call, so a round allocates nothing.
+/// Observations and randomness are drawn in per-agent index order, so
+/// the stream is identical to every other representation's kernel.
 #[allow(clippy::too_many_arguments)]
-fn step_packed_words<P: Protocol, A: AuxAccess>(
+fn step_packed_tiles<P: Protocol>(
     protocol: &P,
     words: &mut [u64],
-    aux: &mut A,
+    mut aux: AuxSliceMut<'_>,
     len: usize,
     source: &mut dyn ObservationSource,
     ctx: &RoundContext,
@@ -677,35 +594,37 @@ fn step_packed_words<P: Protocol, A: AuxAccess>(
     correct: Opinion,
     mut outputs: Option<&mut [Opinion]>,
 ) -> FusedCounters {
+    let mut states: [P::State; WORD_BITS] =
+        std::array::from_fn(|_| protocol.unpack_state(Opinion::Zero, 0));
+    let mut tile = [0u8; WORD_BITS];
+    let mut tile_outputs = [Opinion::Zero; WORD_BITS];
     let mut counters = FusedCounters::default();
-    let mut idx = 0usize;
-    for word_slot in words.iter_mut() {
-        if idx >= len {
-            break;
+    for (group, word_slot) in words.iter_mut().enumerate().take(len.div_ceil(WORD_BITS)) {
+        let start = group * WORD_BITS;
+        let in_word = (len - start).min(WORD_BITS);
+        let states = &mut states[..in_word];
+        aux.load_tile(group, &mut tile);
+        let word = *word_slot;
+        for (a, state) in states.iter_mut().enumerate() {
+            *state = protocol.unpack_state(Opinion::from((word >> a) & 1 == 1), tile[a]);
         }
-        let in_word = (len - idx).min(WORD_BITS);
-        let mut word = *word_slot;
-        for bit in 0..in_word {
-            let opinion = Opinion::from(((word >> bit) & 1) == 1);
-            let mut state = protocol.unpack_state(opinion, aux.get(idx));
-            let obs = source.next_observation(rng);
-            let new_opinion = protocol.step(&mut state, &obs, ctx, rng);
-            let (packed_opinion, packed_aux) = protocol.pack_state(&state);
+        let out = match outputs.as_deref_mut() {
+            Some(out) => &mut out[start..start + in_word],
+            None => &mut tile_outputs[..in_word],
+        };
+        counters += protocol.step_fused(states, source, ctx, rng, correct, out);
+        let mut new_word = 0u64;
+        for (a, state) in states.iter().enumerate() {
+            let (opinion, value) = protocol.pack_state(state);
             debug_assert_eq!(
-                packed_opinion, new_opinion,
+                opinion, out[a],
                 "pack_state's opinion bit must be the state's output"
             );
-            let mask = 1u64 << bit;
-            word = (word & !mask) | (u64::from(new_opinion.is_one()) * mask);
-            aux.set(idx, packed_aux);
-            if let Some(out) = outputs.as_deref_mut() {
-                out[idx] = new_opinion;
-            }
-            counters.ones += u64::from(new_opinion.is_one());
-            counters.correct += u64::from(new_opinion == correct);
-            idx += 1;
+            new_word |= u64::from(opinion.is_one()) << a;
+            tile[a] = value;
         }
-        *word_slot = word;
+        *word_slot = new_word;
+        aux.store_tile(group, &tile);
     }
     counters
 }
@@ -714,7 +633,7 @@ fn step_packed_words<P: Protocol, A: AuxAccess>(
 /// (voter, 3-majority): one
 /// [`ObservationSource::next_threshold_word`] draw and one plane-word
 /// write per 64 agents, counters by popcount. Stream-identical to
-/// [`step_packed_words`] by the source contract (the same observations
+/// [`step_packed_tiles`] by the source contract (the same observations
 /// are drawn in the same per-agent order; the protocols consume no step
 /// randomness).
 ///
@@ -768,7 +687,7 @@ fn step_threshold_words(
 /// protocol's update, drawing observations from `source`: the single
 /// dispatcher behind every `BitPopulation` round entry point. Opinion-
 /// only threshold protocols take the word-at-a-time kernel; everything
-/// else takes the per-agent kernel monomorphized for its aux layout.
+/// else takes the 64-agent tile kernel.
 /// `outputs`, when present, receives the new opinions index-aligned
 /// (`None` on the in-place paths — the plane itself is the output
 /// store).
@@ -788,63 +707,17 @@ fn step_packed_slice<P: Protocol>(
     if let Some(out) = outputs.as_deref() {
         assert_eq!(out.len(), len, "one output slot per agent");
     }
-    match aux {
-        AuxSliceMut::None => {
-            if let Some(threshold) = protocol.opinion_threshold() {
-                return step_threshold_words(words, len, source, rng, threshold, correct, outputs);
-            }
-            step_packed_words(
-                protocol, words, &mut NoAux, len, source, ctx, rng, correct, outputs,
-            )
-        }
-        AuxSliceMut::Bytes(b) => {
-            debug_assert_eq!(b.len(), len);
-            step_packed_words(
-                protocol,
-                words,
-                &mut ByteAux(b),
-                len,
-                source,
-                ctx,
-                rng,
-                correct,
-                outputs,
-            )
-        }
-        AuxSliceMut::Nibbles(w) => {
-            debug_assert!(w.len() >= len.div_ceil(NIBBLES_PER_WORD));
-            step_packed_words(
-                protocol,
-                words,
-                &mut NibbleAux(w),
-                len,
-                source,
-                ctx,
-                rng,
-                correct,
-                outputs,
-            )
-        }
-        AuxSliceMut::Sliced { bits, words: w } => {
-            debug_assert!(w.len() >= len.div_ceil(WORD_BITS) * bits as usize);
-            step_packed_words(
-                protocol,
-                words,
-                &mut SlicedAux { bits, words: w },
-                len,
-                source,
-                ctx,
-                rng,
-                correct,
-                outputs,
-            )
-        }
+    if let (AuxSliceMut::None, Some(threshold)) = (&aux, protocol.opinion_threshold()) {
+        return step_threshold_words(words, len, source, rng, threshold, correct, outputs);
     }
+    step_packed_tiles(
+        protocol, words, aux, len, source, ctx, rng, correct, outputs,
+    )
 }
 
 /// A [`Population`] storing its agents as packed planes: one opinion bit
 /// per agent in a [`BitPlane`] plus the protocol's auxiliary plane
-/// ([`AuxPlane`] — none, byte, nibble, or bit-sliced, per the declared
+/// ([`AuxPlane`] — none, byte, or bit-sliced, per the declared
 /// [`StatePlanes`] layout).
 ///
 /// Construction requires a packable protocol — see the
@@ -994,7 +867,7 @@ impl<P: Protocol> BitPopulation<P> {
         // Carve the planes into per-shard slices once. The plan's ranges
         // start on 64-agent boundaries (see `ShardPlan::shard_range`),
         // which is a whole-word boundary for every plane width — opinion
-        // words, nibble words, and interleaved slice groups alike — so
+        // words, aux bytes, and interleaved slice groups alike — so
         // the splits below land exactly between shards and the slices
         // are disjoint, which is what lets them run concurrently.
         let mut jobs: Vec<ShardJob<'_>> = Vec::with_capacity(shards as usize);
@@ -1354,26 +1227,6 @@ mod tests {
     }
 
     #[test]
-    fn nibble_plane_push_get_set() {
-        let mut plane = NibblePlane::new();
-        for i in 0..45 {
-            plane.push((i % 16) as u8);
-        }
-        assert_eq!(plane.len(), 45);
-        assert_eq!(plane.words().len(), 3);
-        for i in 0..45 {
-            assert_eq!(plane.get(i), (i % 16) as u8, "nibble {i}");
-        }
-        plane.set(44, 9);
-        plane.set(0, 15);
-        assert_eq!(plane.get(44), 9);
-        assert_eq!(plane.get(0), 15);
-        // Neighbors survive a set.
-        assert_eq!(plane.get(1), 1);
-        assert_eq!(plane.get(43), 11);
-    }
-
-    #[test]
     fn sliced_plane_push_get_set_all_widths() {
         for bits in 1..=8u8 {
             let max = (1u32 << bits) as usize;
@@ -1395,6 +1248,61 @@ mod tests {
     }
 
     #[test]
+    fn tile_decode_encode_round_trips_every_width_on_ragged_group() {
+        // 131 agents: two full groups and a trailing group of 3.
+        let len = 131;
+        for bits in 1..=8u8 {
+            let max = 1usize << bits;
+            let mut plane = BitSlicedPlane::new(bits);
+            for i in 0..len {
+                plane.push(((i * 37 + 11) % max) as u8);
+            }
+            let mut bytes: Vec<u8> = (0..len).map(|i| plane.get(i)).collect();
+            let mut tile = [0xAAu8; WORD_BITS];
+            for group in 0..len.div_ceil(WORD_BITS) {
+                let in_group = (len - group * WORD_BITS).min(WORD_BITS);
+                let mut sliced = AuxSliceMut::Sliced {
+                    bits,
+                    words: &mut plane.words,
+                };
+                sliced.load_tile(group, &mut tile);
+                for a in 0..WORD_BITS {
+                    let want = if a < in_group {
+                        bytes[group * WORD_BITS + a]
+                    } else {
+                        0
+                    };
+                    assert_eq!(tile[a], want, "bits={bits} group={group} a={a}");
+                }
+                let mut from_bytes = [0xAAu8; WORD_BITS];
+                AuxSliceMut::Bytes(&mut bytes).load_tile(group, &mut from_bytes);
+                assert_eq!(tile, from_bytes, "bits={bits} group={group}: byte tile");
+                // Rewrite the group's live values; the padding stays 0.
+                for (a, value) in tile.iter_mut().enumerate().take(in_group) {
+                    *value = ((a * 5 + group + usize::from(bits)) % max) as u8;
+                }
+                sliced.store_tile(group, &tile);
+                AuxSliceMut::Bytes(&mut bytes).store_tile(group, &tile);
+            }
+            for (i, &byte) in bytes.iter().enumerate() {
+                let a = i % WORD_BITS;
+                let want = ((a * 5 + i / WORD_BITS + usize::from(bits)) % max) as u8;
+                assert_eq!(plane.get(i), want, "bits={bits} i={i}");
+                assert_eq!(byte, want, "bits={bits} i={i}: byte plane");
+            }
+            let trailing = &plane.words()[(len / WORD_BITS) * bits as usize..];
+            assert_eq!(trailing.len(), bits as usize);
+            for (j, word) in trailing.iter().enumerate() {
+                assert_eq!(
+                    word >> (len % WORD_BITS),
+                    0,
+                    "bits={bits} slice {j}: bits past len() must stay zero"
+                );
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "out of 1..=8")]
     fn sliced_plane_rejects_wide_values() {
         let _ = BitSlicedPlane::new(9);
@@ -1410,11 +1318,7 @@ mod tests {
             AuxPlane::for_planes(StatePlanes::OpinionPlusByte),
             AuxPlane::Bytes(_)
         ));
-        assert!(matches!(
-            AuxPlane::for_planes(StatePlanes::OpinionPlusPacked { bits: 4 }),
-            AuxPlane::Nibbles(_)
-        ));
-        for bits in [1, 2, 3, 5, 6, 7, 8] {
+        for bits in 1..=8 {
             assert!(matches!(
                 AuxPlane::for_planes(StatePlanes::OpinionPlusPacked { bits }),
                 AuxPlane::Sliced(_)
@@ -1424,8 +1328,8 @@ mod tests {
 
     #[test]
     fn push_agent_matches_typed_stream() {
-        // ℓ = 8 → 4-bit clock → nibble plane; ℓ = 5 → 3-bit sliced
-        // plane; ℓ = 200 → byte plane. All three walk the typed stream.
+        // ℓ = 8 → 4-bit sliced plane; ℓ = 5 → 3-bit sliced plane;
+        // ℓ = 200 → byte plane. All three walk the typed stream.
         for ell in [5, 8, 200] {
             let (typed, bits) = filled_pair(ell, 97);
             for i in 0..97 {

@@ -154,8 +154,7 @@ pub enum StatePlanes {
     /// The state is the public opinion plus one auxiliary value occupying
     /// exactly `bits ∈ [1, 8]` bits per agent (FET with `ℓ ≤ 127`: the
     /// clock `count″ ∈ [0, ℓ]` at `⌈log₂(ℓ+1)⌉` bits): one bit plane plus
-    /// one *packed* aux plane — a nibble plane when `bits = 4`, an
-    /// interleaved bit-sliced plane otherwise (see
+    /// one *packed* aux plane, an interleaved bit-sliced plane (see
     /// `fet-core::bitplane`). `pack_state`/`unpack_state` keep their
     /// byte-valued signatures; the container stores only the low `bits`
     /// bits, so packed aux values must satisfy `aux < 2^bits`.
@@ -416,7 +415,7 @@ pub trait Protocol {
     /// word-at-a-time fused kernel in the bit-plane representation: 64
     /// agents per plane-word write via
     /// [`ObservationSource::next_threshold_word`], bypassing the
-    /// per-agent unpack → step → repack walk while remaining
+    /// unpack → step → repack tile kernel while remaining
     /// stream-identical to it.
     ///
     /// Voter (`m = 1`) returns `Some(1)`; 3-majority (`m = 3`) returns

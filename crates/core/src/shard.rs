@@ -132,7 +132,7 @@ impl ShardPlan {
     /// populations carve their packed planes with
     /// `split_at_mut` — no shard boundary ever splits a plane word, for
     /// **any** plane width at once: a 64-agent boundary is 1 opinion-plane
-    /// word, 4 nibble-plane words (16 agents each), exactly `bits`
+    /// word, exactly `bits`
     /// interleaved bit-sliced words (one 64-agent slice group), and 64
     /// aux-plane bytes. Byte-addressed containers accept any consecutive
     /// partition unchanged. Trailing shards are empty when there are
@@ -195,9 +195,9 @@ mod tests {
     fn boundaries_align_for_every_plane_width() {
         // A shard boundary at a multiple of 64 agents falls on a whole
         // number of plane words for every packed layout the bit-plane
-        // container uses: opinion words (64 agents), nibble words (16
-        // agents), and interleaved bit-sliced groups (64 agents spread
-        // over `bits` consecutive words). The split arithmetic each
+        // container uses: opinion words (64 agents), aux bytes, and
+        // interleaved bit-sliced groups (64 agents spread over `bits`
+        // consecutive words). The split arithmetic each
         // layout applies must therefore be exact at every non-final
         // boundary.
         for n in [64usize, 65, 129, 1000, 4099] {
@@ -209,8 +209,6 @@ mod tests {
                         continue; // the final range may end mid-word
                     }
                     assert!(r.start.is_multiple_of(64) && r.end.is_multiple_of(64));
-                    // Nibble plane: 16 values/word.
-                    assert!(r.len().is_multiple_of(16), "n={n} shards={shards} s={s}");
                     // Bit-sliced plane: group = 64 agents = `bits` words,
                     // so the word split `len/64 · bits` is exact for all
                     // widths.

@@ -116,13 +116,13 @@ pub const BIT_PLANE_AUTO_MIN_N: u64 = 10_000_000;
 ///
 /// Bit-plane storage packs opinions 64 agents per `u64` word, plus a
 /// packed auxiliary plane for protocols like FET that carry a small
-/// counter: exactly `⌈log₂(ℓ+1)⌉` bits per agent (a nibble or
-/// interleaved bit-sliced plane — 3 bits/agent at `ℓ = 5`), or one byte
-/// per agent when the counter needs all 8 bits — see
-/// [`fet_core::bitplane`]. Rounds run through the in-place fused
-/// kernels; opinion-only threshold protocols (voter, 3-majority)
-/// additionally take the word-at-a-time kernel, 64 agents per plane
-/// write. It requires a *packable, passive* protocol
+/// counter: exactly `⌈log₂(ℓ+1)⌉` bits per agent (an interleaved
+/// bit-sliced plane — 3 bits/agent at `ℓ = 5`), or one byte per agent
+/// when the counter needs all 8 bits — see [`fet_core::bitplane`].
+/// Rounds run through the in-place fused kernels 64 agents at a time:
+/// a transposed tile through the protocol's own fused kernel, or, for
+/// opinion-only threshold protocols (voter, 3-majority), one
+/// threshold word per plane write. It requires a *packable, passive* protocol
 /// ([`fet_core::protocol::Protocol::state_planes`]), a synchronous
 /// fused-capable configuration (any mean-field fidelity, or any
 /// topology), and no sleepy-agent faults; [`SimulationBuilder::build`]

@@ -16,14 +16,14 @@
 //! * **clock-plane round trip** — FET's `pack_state`/`unpack_state` are
 //!   mutually inverse over the whole `(opinion, count ∈ [0, ℓ])` domain
 //!   for every byte-sized `ℓ`;
-//! * **packed-aux round trip** — the tier-2 aux layouts (bit-sliced,
-//!   nibble, byte) store and return every clock value for every
+//! * **packed-aux round trip** — the tier-2 aux layouts (bit-sliced at
+//!   every width, byte) store and return every clock value for every
 //!   `ℓ ≤ 255` at word-boundary lengths, and a `BitPopulation` over any
 //!   such `ℓ` stays stream-identical to the typed container;
 //! * **word-kernel equivalence** — the word-at-a-time threshold kernel
 //!   (voter, 3-majority) produces the same trajectory, counters, and
-//!   popcounts as the per-agent packed loop it replaces, sequentially
-//!   and sharded.
+//!   popcounts as the tile kernel running the per-agent `step` loop,
+//!   sequentially and sharded.
 
 use fet::prelude::*;
 use fet_core::bitplane::{AuxPlane, BitPlane, BitPopulation};
@@ -37,9 +37,10 @@ use rand::RngCore;
 use rand::SeedableRng;
 
 /// Delegating wrapper that hides the inner protocol's
-/// `opinion_threshold()`, forcing `BitPopulation` down the per-agent
-/// packed loop. The step rule and RNG usage are untouched, so the
-/// wrapper is the stream-identical baseline the word kernel must match.
+/// `opinion_threshold()` (and its fused kernel), forcing `BitPopulation`
+/// down the tile kernel with the default per-agent `step` loop. The step
+/// rule and RNG usage are untouched, so the wrapper is the
+/// stream-identical baseline the word kernel must match.
 #[derive(Debug, Clone, Copy)]
 struct PerAgent<P>(P);
 
@@ -146,6 +147,15 @@ fn boundary_sizes(extra: usize) -> Vec<usize> {
     sizes
 }
 
+/// An `ℓ` whose FET clock takes exactly `width` bits: widths 1–7 pick a
+/// bit-sliced aux plane, width 8 (`ℓ ∈ [128, 255]`) the byte plane.
+/// `pick` chooses uniformly within the width's `ℓ` range.
+fn ell_of_width(width: u32, pick: u32) -> u32 {
+    assert!((1..=8).contains(&width), "packed clock widths are 1..=8");
+    let low = 1u32 << (width - 1);
+    low + pick % low
+}
+
 proptest! {
     /// Plane level: push/get round-trips arbitrary bit patterns across
     /// word boundaries; set flips survive; count_ones is the scalar count.
@@ -185,14 +195,17 @@ proptest! {
     /// Round level: sequential fused rounds on twin populations driven by
     /// identical streams stay bit-identical — outputs, counters, packed
     /// decisions, and the popcount-vs-scalar-recount invariant after
-    /// every round.
+    /// every round — for a clock of every packed width (sliced 1–7 bits,
+    /// byte plane at 8) over ragged and word-multiple sizes.
     #[test]
     fn fused_rounds_match_typed_and_keep_popcount_exact(
         extra_n in 1usize..400,
-        ell in 1u32..8,
+        width in 1u32..=8,
+        pick in any::<u32>(),
         seed in 0u64..500,
         rounds in 1u64..5,
     ) {
+        let ell = ell_of_width(width, pick);
         for n in boundary_sizes(extra_n) {
             let (mut typed, mut bits) = twin_populations(ell, n, seed);
             let m = typed.samples_per_round();
@@ -208,7 +221,7 @@ proptest! {
                 let cb = bits.step_fused(
                     &mut UniformSource { m }, &ctx, &mut rng_b, Opinion::One, &mut out_b,
                 );
-                prop_assert_eq!(&out_a, &out_b, "n={} round={}", n, round);
+                prop_assert_eq!(&out_a, &out_b, "n={} round={} ell={}", n, round, ell);
                 prop_assert_eq!(ca, cb);
                 // Popcount global count ≡ scalar recount, every round.
                 let scalar = (0..n)
@@ -231,15 +244,18 @@ proptest! {
     /// Shard level: parallel rounds whose agent-balanced split would land
     /// mid-word (arbitrary shard counts against boundary-stressing sizes)
     /// match the typed container and the in-place variant — word-aligned
-    /// ranges change nothing but where the split falls.
+    /// ranges change nothing but where the split falls — for a clock of
+    /// every packed width.
     #[test]
     fn parallel_rounds_match_across_representations_and_entry_points(
         extra_n in 1usize..400,
+        width in 1u32..=8,
+        pick in any::<u32>(),
         shards in 2u32..12,
         workers in 1u32..5,
         stream in 0u64..300,
     ) {
-        let ell = 3u32;
+        let ell = ell_of_width(width, pick);
         for n in boundary_sizes(extra_n) {
             let plan = ShardPlan::new(shards, workers, stream, 1);
             let ctx = RoundContext::new(1);
@@ -254,7 +270,7 @@ proptest! {
             let ci = bits_inplace.step_fused_parallel_inplace(
                 &factory, &ctx, &plan, Opinion::One,
             );
-            prop_assert_eq!(&out_a, &out_b, "n={} shards={}", n, shards);
+            prop_assert_eq!(&out_a, &out_b, "n={} shards={} ell={}", n, shards, ell);
             prop_assert_eq!(ca, cb);
             prop_assert_eq!(cb, ci, "in-place variant must reduce the same counters");
             for i in 0..n {
@@ -285,8 +301,7 @@ proptest! {
     /// Container level, full `ℓ` range: a `BitPopulation` built from the
     /// same init stream as a `TypedPopulation` holds bit-identical
     /// opinions and packed clocks, whichever aux layout `ℓ` selects
-    /// (bit-sliced for `bits < 4` and `4 < bits < 8`, nibble at
-    /// `bits = 4`, byte at `bits = 8`).
+    /// (bit-sliced for `bits < 8`, byte at `bits = 8`).
     #[test]
     fn bit_population_matches_typed_for_any_ell(
         ell in 1u32..=255,
@@ -306,7 +321,7 @@ proptest! {
 
     /// Kernel level: the word-at-a-time threshold kernel (voter `m = 1`
     /// threshold 1, 3-majority `m = 3` threshold 2) is bit-identical to
-    /// the per-agent packed loop it replaces — outputs, counters, and
+    /// the tile kernel's per-agent loop — outputs, counters, and
     /// popcounts — across word-boundary sizes, multiple rounds, and the
     /// sharded parallel entry point.
     #[test]
@@ -381,7 +396,7 @@ where
 }
 
 /// The packed aux layouts, exhaustively: every `ℓ ≤ 255` (covering every
-/// sliced width, the nibble plane, and the byte plane) stores and
+/// sliced width and the byte plane) stores and
 /// returns every clock value in `[0, ℓ]` at the word-boundary lengths
 /// `n ∈ {63, 64, 65}`, through both `push` and `set`. Pinned outside the
 /// fuzzer so no width can rotate out of coverage.
