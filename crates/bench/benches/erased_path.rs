@@ -1,21 +1,14 @@
 //! The erased execution paths, measured at the engine level.
 //!
-//! One synchronous binomial-fidelity round — observation generation plus
-//! the protocol dispatch plus counter folds — through each representation
-//! and round implementation the workspace can run a protocol in:
+//! One synchronous binomial-fidelity round — observation draws plus the
+//! protocol update plus counter folds, in one fused pass — through each
+//! representation and round implementation the workspace can run a
+//! protocol in:
 //!
-//! * `typed` — `Engine<FetProtocol>`, batched pipeline: the monomorphized
-//!   buffered baseline.
-//! * `boxed` — `Engine<ErasedProtocol>`, batched: the legacy per-agent
-//!   erasure; every round re-materializes a contiguous typed buffer (O(n)
-//!   alloc + 2 clones per agent).
-//! * `population` — `PopulationEngine` over `Box<dyn DynPopulation>`,
-//!   batched: one virtual dispatch per round into the typed kernel, zero
-//!   per-round copying.
-//! * `typed_fused` / `population_fused` — the same two hot
-//!   representations through the fused single-pass kernel: observations
-//!   drawn on demand, outputs written in place, counters accumulated in
-//!   the kernel, `O(1)` auxiliary memory.
+//! * `typed_fused` — `Engine<FetProtocol>`: the monomorphized baseline.
+//! * `population_fused` — `PopulationEngine` over
+//!   `Box<dyn DynPopulation>`: one virtual dispatch per round into the
+//!   typed kernel, zero per-round copying.
 //! * `typed_fused_parallel` / `population_fused_parallel` — the fused
 //!   kernel work-sharded over 4 threads (`FET_BENCH_THREADS` overrides):
 //!   per-shard split-RNG streams, one dispatch, per-shard counters
@@ -28,10 +21,9 @@
 //!   `docs/BENCHMARKS.md`, not the round time.
 //!
 //! These are the numbers recorded in `docs/BENCHMARKS.md`; the acceptance
-//! bars are `population / typed ≤ ~1.05` (PR 2),
-//! `typed / typed_fused ≥ 1.5` at `n = 10^5` (ISSUE 3), and
+//! bars are `population_fused / typed_fused ≤ ~1.05`, and
 //! `typed_fused / typed_fused_parallel ≥ 2` at `n = 10^7` with 4 threads
-//! on a ≥ 4-core host (ISSUE 4, measured in `end_to_end_convergence`'s
+//! on a ≥ 4-core host (measured in `end_to_end_convergence`'s
 //! `FET_BENCH_LARGE` episode).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -96,32 +88,6 @@ fn bench_round(c: &mut Criterion) {
     let threads = announced_bench_threads();
     let mut group = c.benchmark_group("erased_path_round");
     for &n in &SIZES {
-        let ell = ell_for_population(n, 4.0);
-        let spec = || ProblemSpec::single_source(n, Opinion::One).unwrap();
-
-        group.bench_with_input(BenchmarkId::new("typed", n), &n, |b, &n| {
-            let mut engine = typed_engine(n, ExecutionMode::Batched);
-            b.iter(|| engine.step());
-        });
-
-        group.bench_with_input(BenchmarkId::new("boxed", n), &n, |b, _| {
-            let mut engine = Engine::new(
-                ErasedProtocol::new(FetProtocol::new(ell).unwrap()),
-                spec(),
-                Fidelity::Binomial,
-                InitialCondition::Random,
-                42,
-            )
-            .unwrap();
-            engine.set_execution_mode(ExecutionMode::Batched).unwrap();
-            b.iter(|| engine.step());
-        });
-
-        group.bench_with_input(BenchmarkId::new("population", n), &n, |b, &n| {
-            let mut engine = population_engine(n, ExecutionMode::Batched);
-            b.iter(|| engine.step());
-        });
-
         group.bench_with_input(BenchmarkId::new("typed_fused", n), &n, |b, &n| {
             let mut engine = typed_engine(n, ExecutionMode::Fused);
             b.iter(|| engine.step());

@@ -1,14 +1,10 @@
-//! Micro-benchmark: one protocol step, per protocol — and the batched
-//! kernels against the per-agent loop.
+//! Micro-benchmark: one protocol step, per protocol.
 //!
 //! Measures the per-agent per-round cost of the decision rule itself
 //! (observation already in hand) — FET's hypergeometric split dominates
-//! its step; the baselines are branch-only. The `protocol_step_batch`
-//! group is the acceptance gauge for `Protocol::step_batch`: the batched
-//! kernel must be no slower than stepping agent by agent.
+//! its step; the baselines are branch-only.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use fet_core::erased::ErasedProtocol;
 use fet_core::fet::{FetProtocol, FetState};
 use fet_core::observation::Observation;
 use fet_core::opinion::Opinion;
@@ -76,155 +72,5 @@ fn bench_steps(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_step_batch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("protocol_step_batch");
-    let ell = 32u32;
-    let agents = 1_024usize;
-    let fet = FetProtocol::new(ell).unwrap();
-    let m = fet.samples_per_round();
-    let ctx = RoundContext::new(0);
-    let observations: Vec<Observation> = (0..agents)
-        .map(|i| Observation::new((i as u32 * 13) % (m + 1), m).unwrap())
-        .collect();
-    let mut init_rng = SeedTree::new(7).child("batch-init").rng();
-    let states: Vec<FetState> = (0..agents)
-        .map(|_| fet.init_state(Opinion::Zero, &mut init_rng))
-        .collect();
-
-    group.bench_function("fet_per_agent_loop_1024", |b| {
-        let mut rng = SeedTree::new(8).child("loop").rng();
-        let mut states = states.clone();
-        b.iter(|| {
-            for (s, o) in states.iter_mut().zip(&observations) {
-                fet.step(s, o, &ctx, &mut rng);
-            }
-        });
-    });
-    group.bench_function("fet_step_batch_1024", |b| {
-        let mut rng = SeedTree::new(8).child("batch").rng();
-        let mut states = states.clone();
-        let mut outputs = vec![Opinion::Zero; agents];
-        b.iter(|| {
-            fet.step_batch(&mut states, &observations, &ctx, &mut rng, &mut outputs);
-        });
-    });
-    // The legacy erased layer's price: boxed states, plus a typed-buffer
-    // materialization (O(n) alloc + 2 clones/agent) each `step_batch`.
-    group.bench_function("fet_erased_step_batch_1024", |b| {
-        let erased = ErasedProtocol::new(fet.clone());
-        let mut rng = SeedTree::new(8).child("erased").rng();
-        let mut init_rng = SeedTree::new(7).child("erased-init").rng();
-        let mut states: Vec<_> = (0..agents)
-            .map(|_| erased.init_state(Opinion::Zero, &mut init_rng))
-            .collect();
-        let mut outputs = vec![Opinion::Zero; agents];
-        b.iter(|| {
-            erased.step_batch(&mut states, &observations, &ctx, &mut rng, &mut outputs);
-        });
-    });
-    // The population-erased layer: one contiguous typed buffer behind an
-    // object-safe container — a single virtual dispatch per round, zero
-    // per-round allocation or cloning. Must sit within ~5% of the typed
-    // kernel.
-    group.bench_function("fet_population_erased_step_batch_1024", |b| {
-        let mut population = ErasedProtocol::new(fet.clone()).population();
-        let mut rng = SeedTree::new(8).child("pop-erased").rng();
-        let mut init_rng = SeedTree::new(7).child("pop-erased-init").rng();
-        population.reserve(agents);
-        for _ in 0..agents {
-            population.push_agent(Opinion::Zero, &mut init_rng);
-        }
-        let mut outputs = vec![Opinion::Zero; agents];
-        b.iter(|| {
-            population.step_batch(&observations, &ctx, &mut rng, &mut outputs);
-        });
-    });
-
-    let st = SimpleTrendProtocol::new(ell).unwrap();
-    let obs_st: Vec<Observation> = (0..agents)
-        .map(|i| Observation::new((i as u32 * 13) % (ell + 1), ell).unwrap())
-        .collect();
-    let st_states: Vec<SimpleTrendState> = (0..agents)
-        .map(|_| st.init_state(Opinion::Zero, &mut init_rng))
-        .collect();
-    group.bench_function("simple_trend_per_agent_loop_1024", |b| {
-        let mut rng = SeedTree::new(9).child("st-loop").rng();
-        let mut states = st_states.clone();
-        b.iter(|| {
-            for (s, o) in states.iter_mut().zip(&obs_st) {
-                st.step(s, o, &ctx, &mut rng);
-            }
-        });
-    });
-    group.bench_function("simple_trend_step_batch_1024", |b| {
-        let mut rng = SeedTree::new(9).child("st-batch").rng();
-        let mut states = st_states.clone();
-        let mut outputs = vec![Opinion::Zero; agents];
-        b.iter(|| {
-            st.step_batch(&mut states, &obs_st, &ctx, &mut rng, &mut outputs);
-        });
-    });
-    group.finish();
-}
-
-/// The acceptance gauge at scale: typed vs boxed-erased vs
-/// population-erased FET kernels over 10^5 agents. The population path
-/// must stay within ~5% of the typed kernel; the boxed path documents the
-/// overhead the population container removes.
-fn bench_step_batch_large(c: &mut Criterion) {
-    let mut group = c.benchmark_group("protocol_step_batch_100k");
-    let ell = 32u32;
-    let agents = 100_000usize;
-    let fet = FetProtocol::new(ell).unwrap();
-    let m = fet.samples_per_round();
-    let ctx = RoundContext::new(0);
-    let observations: Vec<Observation> = (0..agents)
-        .map(|i| Observation::new((i as u32 * 13) % (m + 1), m).unwrap())
-        .collect();
-
-    group.bench_function("fet_step_batch_100k", |b| {
-        let mut init_rng = SeedTree::new(7).child("typed-init").rng();
-        let mut rng = SeedTree::new(8).child("typed").rng();
-        let mut states: Vec<FetState> = (0..agents)
-            .map(|_| fet.init_state(Opinion::Zero, &mut init_rng))
-            .collect();
-        let mut outputs = vec![Opinion::Zero; agents];
-        b.iter(|| {
-            fet.step_batch(&mut states, &observations, &ctx, &mut rng, &mut outputs);
-        });
-    });
-    group.bench_function("fet_erased_step_batch_100k", |b| {
-        let erased = ErasedProtocol::new(fet.clone());
-        let mut init_rng = SeedTree::new(7).child("erased-init").rng();
-        let mut rng = SeedTree::new(8).child("erased").rng();
-        let mut states: Vec<_> = (0..agents)
-            .map(|_| erased.init_state(Opinion::Zero, &mut init_rng))
-            .collect();
-        let mut outputs = vec![Opinion::Zero; agents];
-        b.iter(|| {
-            erased.step_batch(&mut states, &observations, &ctx, &mut rng, &mut outputs);
-        });
-    });
-    group.bench_function("fet_population_erased_step_batch_100k", |b| {
-        let mut population = ErasedProtocol::new(fet.clone()).population();
-        let mut init_rng = SeedTree::new(7).child("pop-init").rng();
-        let mut rng = SeedTree::new(8).child("pop").rng();
-        population.reserve(agents);
-        for _ in 0..agents {
-            population.push_agent(Opinion::Zero, &mut init_rng);
-        }
-        let mut outputs = vec![Opinion::Zero; agents];
-        b.iter(|| {
-            population.step_batch(&observations, &ctx, &mut rng, &mut outputs);
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_steps,
-    bench_step_batch,
-    bench_step_batch_large
-);
+criterion_group!(benches, bench_steps);
 criterion_main!(benches);

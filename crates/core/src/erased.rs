@@ -12,10 +12,7 @@
 //!   that implements [`Protocol`] *again*, with `State = Box<dyn DynState>`,
 //!   so all engines accept runtime-selected protocols unchanged.
 //!
-//! The erasure costs one virtual call per agent step plus a per-agent box;
-//! the batched entry point ([`Protocol::step_batch`]) still dispatches once
-//! per *round* into the underlying typed kernel, so the round loop keeps a
-//! single indirect call per agent rather than three.
+//! The erasure costs one virtual call per agent step plus a per-agent box.
 //!
 //! # `ErasedProtocol` vs [`DynPopulation`]: which erasure to use
 //!
@@ -25,14 +22,13 @@
 //! | | [`ErasedProtocol`] (per-agent) | [`DynPopulation`] (population) |
 //! |---|---|---|
 //! | state layout | `n` separately boxed states | one contiguous `Vec<P::State>` |
-//! | per-round cost | `O(n)` buffer alloc + 2 clones/agent (boxes are not contiguous, so [`DynProtocol::step_batch_erased`] materializes a typed buffer and writes back) | zero-copy: one virtual dispatch into the typed kernel |
+//! | per-round cost | one virtual call per agent step (boxes are not contiguous, so the typed round kernel cannot run over them) | zero-copy: one virtual dispatch into the typed kernel |
 //! | per-agent state access | yes — states are first-class `Box<dyn DynState>` values you can hold, swap, and move between containers | through the population only (indices, not owned values) |
 //! | drop-in for `Engine<P>` | yes — implements [`Protocol`] itself | no — engines need a population-aware entry point |
 //!
 //! **Default to the population container**: every facade/registry run does
-//! (`ErasedProtocol::population` is the bridge), and at `n = 1024` the
-//! boxed path measured ~25% slower than the typed kernel while the
-//! population path is within noise of it. Reach for `ErasedProtocol`'s
+//! (`ErasedProtocol::population` is the bridge), and the population path
+//! runs the typed kernel itself. Reach for `ErasedProtocol`'s
 //! per-agent states only when code genuinely needs owned, individually
 //! boxed states — e.g. adversarial surgery that moves single states across
 //! engines, or generic code written against `Protocol` that cannot be made
@@ -107,16 +103,6 @@ pub trait DynProtocol: fmt::Debug + Send + Sync {
         ctx: &RoundContext,
         rng: &mut dyn RngCore,
     ) -> Opinion;
-    /// See [`Protocol::step_batch`]. Dispatches into the typed batch kernel
-    /// once per round.
-    fn step_batch_erased(
-        &self,
-        states: &mut [Box<dyn DynState>],
-        observations: &[Observation],
-        ctx: &RoundContext,
-        rng: &mut dyn RngCore,
-        outputs: &mut [Opinion],
-    );
     /// See [`Protocol::output`].
     fn output_erased(&self, state: &dyn DynState) -> Opinion;
     /// See [`Protocol::decision`].
@@ -192,36 +178,6 @@ where
             ctx,
             rng,
         )
-    }
-
-    fn step_batch_erased(
-        &self,
-        states: &mut [Box<dyn DynState>],
-        observations: &[Observation],
-        ctx: &RoundContext,
-        rng: &mut dyn RngCore,
-        outputs: &mut [Opinion],
-    ) {
-        assert_eq!(
-            states.len(),
-            observations.len(),
-            "one observation per agent"
-        );
-        assert_eq!(states.len(), outputs.len(), "one output slot per agent");
-        // Boxed states are not contiguous, so the typed batch kernel
-        // cannot run over them in place. Materialize them into a
-        // contiguous buffer, run the kernel, write back: two clones per
-        // agent (states are small — FET's is 8 bytes) buy the kernel's
-        // hoisted validation and precomputed sampling tables.
-        let name = Protocol::name(self);
-        let mut typed: Vec<P::State> = states
-            .iter()
-            .map(|s| downcast::<P::State>(s.as_ref(), name).clone())
-            .collect();
-        self.step_batch(&mut typed, observations, ctx, rng, outputs);
-        for (boxed, fresh) in states.iter_mut().zip(typed) {
-            *downcast_mut::<P::State>(boxed.as_mut(), name) = fresh;
-        }
     }
 
     fn output_erased(&self, state: &dyn DynState) -> Opinion {
@@ -375,18 +331,6 @@ impl Protocol for ErasedProtocol {
         self.inner.step_erased(state.as_mut(), obs, ctx, rng)
     }
 
-    fn step_batch(
-        &self,
-        states: &mut [Box<dyn DynState>],
-        observations: &[Observation],
-        ctx: &RoundContext,
-        rng: &mut dyn RngCore,
-        outputs: &mut [Opinion],
-    ) {
-        self.inner
-            .step_batch_erased(states, observations, ctx, rng, outputs)
-    }
-
     fn output(&self, state: &Box<dyn DynState>) -> Opinion {
         self.inner.output_erased(state.as_ref())
     }
@@ -452,31 +396,6 @@ mod tests {
         assert_eq!(erased.name(), "fet");
         assert!(erased.is_passive());
         assert_eq!(erased.memory_footprint(), typed.memory_footprint());
-    }
-
-    #[test]
-    fn erased_batch_matches_erased_loop() {
-        let erased = ErasedProtocol::new(SimpleTrendProtocol::new(6).unwrap());
-        let ctx = RoundContext::new(0);
-        let mut r = rng();
-        let mut a: Vec<_> = (0..10)
-            .map(|_| erased.init_state(Opinion::Zero, &mut r))
-            .collect();
-        let mut b: Vec<_> = a.clone();
-        let obs: Vec<_> = (0..10)
-            .map(|i| Observation::new(i % 7, 6).unwrap())
-            .collect();
-        let looped: Vec<Opinion> = a
-            .iter_mut()
-            .zip(&obs)
-            .map(|(s, o)| erased.step(s, o, &ctx, &mut r))
-            .collect();
-        let mut batched = vec![Opinion::Zero; 10];
-        erased.step_batch(&mut b, &obs, &ctx, &mut r, &mut batched);
-        assert_eq!(looped, batched);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(erased.output(x), erased.output(y));
-        }
     }
 
     #[test]

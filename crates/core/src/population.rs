@@ -2,10 +2,9 @@
 //!
 //! [`crate::erased::ErasedProtocol`] erases a protocol by boxing every
 //! per-agent state (`Vec<Box<dyn DynState>>`). That keeps runtime protocol
-//! selection fully general, but the batched round kernel cannot run over a
-//! slice of boxes: each round it must materialize a contiguous typed buffer
-//! and write it back — an `O(n)` allocation plus two clones per agent, per
-//! round, measured at ~25% over the typed kernel at `n = 1024`.
+//! selection fully general, but a typed round kernel cannot run over a
+//! slice of boxes: every agent step goes through the erased per-agent
+//! vtable instead.
 //!
 //! This module erases at a coarser granularity — the **population**, not the
 //! agent. A [`TypedPopulation<P>`] owns one contiguous `Vec<P::State>` next
@@ -14,7 +13,7 @@
 //! needs (initialize agents, step the whole slice, read outputs and
 //! decisions, account memory, clone for snapshots). A runtime-selected
 //! protocol therefore pays **one** virtual dispatch per round — straight
-//! into the typed [`Protocol::step_batch`] kernel — with zero per-round
+//! into the typed [`Protocol::step_fused`] kernel — with zero per-round
 //! allocation or cloning. The states stay tiny and uniform (FET's is 8
 //! bytes), exactly the regime the 3-bit/noisy-PULL literature optimizes
 //! for, so one contiguous buffer is also the cache-friendly layout.
@@ -42,8 +41,16 @@
 //! use fet_core::observation::Observation;
 //! use fet_core::opinion::Opinion;
 //! use fet_core::population::Population;
-//! use fet_core::protocol::RoundContext;
-//! use rand::SeedableRng;
+//! use fet_core::protocol::{ObservationSource, RoundContext};
+//! use rand::{RngCore, SeedableRng};
+//!
+//! // Every agent observes 12 ones among its 16 samples.
+//! struct Fixed;
+//! impl ObservationSource for Fixed {
+//!     fn next_observation(&mut self, _rng: &mut dyn RngCore) -> Observation {
+//!         Observation::new(12, 16).expect("12 ≤ 16")
+//!     }
+//! }
 //!
 //! // A runtime-selected protocol hands out a contiguous population…
 //! let erased = ErasedProtocol::new(FetProtocol::new(8)?);
@@ -53,11 +60,11 @@
 //!     population.push_agent(Opinion::Zero, &mut rng);
 //! }
 //!
-//! // …and one round is a single dispatch into the typed batch kernel.
-//! let obs = vec![Observation::new(12, 16)?; 100];
+//! // …and one round is a single dispatch into the typed fused kernel.
 //! let mut out = vec![Opinion::Zero; 100];
-//! population.step_batch(&obs, &RoundContext::new(0), &mut rng, &mut out);
-//! assert_eq!(population.len(), 100);
+//! let ctx = RoundContext::new(0);
+//! let counters = population.step_fused(&mut Fixed, &ctx, &mut rng, Opinion::One, &mut out);
+//! assert_eq!(counters.ones, out.iter().filter(|o| o.is_one()).count() as u64);
 //! # Ok::<(), fet_core::CoreError>(())
 //! ```
 
@@ -73,9 +80,10 @@ use std::fmt;
 ///
 /// Agents are indexed `0..len()` in insertion order ([`push_agent`]); a
 /// simulation engine keeps sources outside the population and maps indices
-/// itself. All batch methods preserve the *sequential RNG semantics* of
-/// [`Protocol::step_batch`]: stepping the population in one call draws the
-/// same random stream as stepping agent by agent in index order.
+/// itself. The whole-population round methods preserve the *sequential RNG
+/// semantics* of [`Protocol::step_fused`]: stepping the population in one
+/// call draws the same random stream as stepping agent by agent in index
+/// order.
 ///
 /// Bounds are deliberately minimal (`Debug + Send + Sync`, no `Clone` —
 /// `Sync` because the parallel fused round shares the protocol
@@ -120,31 +128,12 @@ pub trait Population: fmt::Debug + Send {
     /// new agent's public output.
     fn push_agent(&mut self, opinion: Opinion, rng: &mut dyn RngCore) -> Opinion;
 
-    /// Executes one round for every agent: agent `i` consumes
-    /// `observations[i]` and its new public opinion is written to
-    /// `outputs[i]`. One dispatch into the typed
-    /// [`Protocol::step_batch`] kernel — no per-round allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the slice lengths differ from [`Population::len`], or
-    /// when an observation's sample size does not match
-    /// [`Population::samples_per_round`].
-    fn step_batch(
-        &mut self,
-        observations: &[Observation],
-        ctx: &RoundContext,
-        rng: &mut dyn RngCore,
-        outputs: &mut [Opinion],
-    );
-
     /// Executes one *fused* round for every agent: observations are drawn
     /// from `source` on demand, each agent's new public opinion is written
     /// to `outputs[i]`, and the round counters come back accumulated — one
     /// dispatch into the typed [`Protocol::step_fused`] kernel, `O(1)`
-    /// auxiliary memory (no observation buffer exists anywhere). This is
-    /// the mean-field hot path; see the engine docs in `fet-sim` for when
-    /// it is selected over [`Population::step_batch`].
+    /// auxiliary memory (no observation buffer exists anywhere). The
+    /// synchronous round of `fet-sim`'s engines.
     ///
     /// # Panics
     ///
@@ -445,17 +434,6 @@ where
         self.states[idx] = self.protocol.init_state(opinion, rng);
     }
 
-    fn step_batch(
-        &mut self,
-        observations: &[Observation],
-        ctx: &RoundContext,
-        rng: &mut dyn RngCore,
-        outputs: &mut [Opinion],
-    ) {
-        self.protocol
-            .step_batch(&mut self.states, observations, ctx, rng, outputs);
-    }
-
     fn step_fused(
         &mut self,
         source: &mut dyn ObservationSource,
@@ -658,21 +636,25 @@ mod tests {
     }
 
     #[test]
-    fn batch_equals_per_agent_loop() {
+    fn fused_equals_per_agent_loop() {
         let (mut a, mut ra) = filled(16);
         let (mut b, mut rb) = filled(16);
         let ctx = RoundContext::new(0);
-        let obs: Vec<_> = (0..16)
-            .map(|i| Observation::new(i % 17, 16).unwrap())
+        let mut fused = vec![Opinion::Zero; 16];
+        a.step_fused(
+            &mut UniformSource { m: 16 },
+            &ctx,
+            &mut ra,
+            Opinion::One,
+            &mut fused,
+        );
+        let looped: Vec<_> = (0..16)
+            .map(|i| {
+                let obs = UniformSource { m: 16 }.next_observation(&mut rb);
+                b.step_agent(i, &obs, &ctx, &mut rb)
+            })
             .collect();
-        let mut batched = vec![Opinion::Zero; 16];
-        a.step_batch(&obs, &ctx, &mut ra, &mut batched);
-        let looped: Vec<_> = obs
-            .iter()
-            .enumerate()
-            .map(|(i, o)| b.step_agent(i, o, &ctx, &mut rb))
-            .collect();
-        assert_eq!(batched, looped);
+        assert_eq!(fused, looped);
         assert_eq!(a.states(), b.states());
     }
 
@@ -699,9 +681,14 @@ mod tests {
         let (pop, mut r) = filled(6);
         let boxed: Box<dyn DynPopulation> = pop.clone_box();
         let mut copy = boxed.clone();
-        let obs = vec![Observation::new(16, 16).unwrap(); 6];
         let mut out = vec![Opinion::Zero; 6];
-        copy.step_batch(&obs, &RoundContext::new(0), &mut r, &mut out);
+        copy.step_fused(
+            &mut UniformSource { m: 16 },
+            &RoundContext::new(0),
+            &mut r,
+            Opinion::One,
+            &mut out,
+        );
         // The original is untouched by stepping the clone.
         let mut orig_out = vec![Opinion::Zero; 6];
         pop.write_outputs(&mut orig_out);
@@ -721,17 +708,14 @@ mod tests {
         m: u32,
     }
 
-    impl crate::protocol::ObservationSource for UniformSource {
+    impl ObservationSource for UniformSource {
         fn next_observation(&mut self, rng: &mut dyn rand::RngCore) -> Observation {
             Observation::new(rng.next_u32() % (self.m + 1), self.m).unwrap()
         }
     }
 
     impl crate::shard::ShardSourceFactory for UniformSourceFactory {
-        fn shard_source(
-            &self,
-            _range: std::ops::Range<usize>,
-        ) -> Box<dyn crate::protocol::ObservationSource + '_> {
+        fn shard_source(&self, _range: std::ops::Range<usize>) -> Box<dyn ObservationSource + '_> {
             Box::new(UniformSource { m: self.m })
         }
     }
@@ -796,8 +780,13 @@ mod tests {
         pop.push_agent(Opinion::Zero, &mut r);
         assert_eq!(pop.protocol_name(), "fet");
         assert_eq!(pop.len(), 1);
-        let obs = [Observation::new(3, 8).unwrap()];
         let mut out = [Opinion::Zero];
-        pop.step_batch(&obs, &RoundContext::new(0), &mut r, &mut out);
+        pop.step_fused(
+            &mut UniformSource { m: 8 },
+            &RoundContext::new(0),
+            &mut r,
+            Opinion::One,
+            &mut out,
+        );
     }
 }

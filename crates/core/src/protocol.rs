@@ -55,20 +55,24 @@ impl RoundContext {
 ///   the complete graph): an observation is a pure function of the round's
 ///   global 1-count and the RNG — no snapshot of the population is
 ///   consulted, and the source is position-oblivious.
-/// * **positional** sources (neighborhood sampling on an explicit graph):
-///   agent `i`'s observation reads the round-start opinions of `i`'s
-///   neighbors, so the source carries an internal agent cursor that
-///   advances once per draw. Positional sources are constructed knowing
-///   the first agent they stream for (see
-///   [`ShardSourceFactory`](crate::shard::ShardSourceFactory)).
+/// * **positional** sources (literal index sampling, on an explicit graph
+///   or the complete graph): agent `i`'s observation reads the round-start
+///   opinions of the vertices `i` samples, so the source carries an
+///   internal agent cursor that advances once per agent. Positional
+///   sources are constructed knowing the first agent they stream for
+///   (see [`ShardSourceFactory`](crate::shard::ShardSourceFactory)).
 pub trait ObservationSource {
-    /// Draws the next agent's observation. Called exactly once per agent,
+    /// Draws the next agent's observation. Called at most once per agent,
     /// in agent order over the stepped slice — implementations may consume
     /// `rng` (sampling, noise) and advance positional state, and the
-    /// kernel interleaves these draws with its own per-agent RNG use,
-    /// which is what gives the fused path its own deterministic stream
-    /// (distinct from the batched path's observations-first ordering).
+    /// kernel interleaves these draws with its own per-agent RNG use.
     fn next_observation(&mut self, rng: &mut dyn RngCore) -> Observation;
+
+    /// Passes over the next agent without drawing its observation — how a
+    /// round that leaves some agents unstepped (sleepy-agent faults) keeps
+    /// a positional source's cursor on the right agent. Position-oblivious
+    /// sources keep the default no-op.
+    fn skip(&mut self) {}
 
     /// Draws observations for `count ≤ 64` consecutive agents and returns
     /// a word whose bit `j` is 1 iff draw `j`'s 1-count is `≥ threshold` —
@@ -236,47 +240,6 @@ pub trait Protocol {
         rng: &mut dyn RngCore,
     ) -> Opinion;
 
-    /// Executes one round for a contiguous slice of agents: `states[i]`
-    /// consumes `observations[i]` and its new public opinion is written to
-    /// `outputs[i]`.
-    ///
-    /// The default implementation loops over [`Protocol::step`] and is
-    /// always correct. Protocols with a hot decision rule (FET, the
-    /// `fet-protocols` baselines) override it with a kernel that hoists
-    /// the per-observation validation out of the loop and runs straight
-    /// over the contiguous state slice — the form the engine's round loop
-    /// is built around.
-    ///
-    /// # Contract
-    ///
-    /// Equivalent to calling `step` once per agent in slice order with the
-    /// same RNG: specializations must preserve the *sequential RNG
-    /// semantics* so that batched and looped execution produce identical
-    /// streams for a given seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the slice lengths differ, or when any observation's
-    /// sample size does not match [`Protocol::samples_per_round`].
-    fn step_batch(
-        &self,
-        states: &mut [Self::State],
-        observations: &[Observation],
-        ctx: &RoundContext,
-        rng: &mut dyn RngCore,
-        outputs: &mut [Opinion],
-    ) {
-        assert_eq!(
-            states.len(),
-            observations.len(),
-            "one observation per agent"
-        );
-        assert_eq!(states.len(), outputs.len(), "one output slot per agent");
-        for ((state, obs), out) in states.iter_mut().zip(observations).zip(outputs.iter_mut()) {
-            *out = self.step(state, obs, ctx, rng);
-        }
-    }
-
     /// Executes one *fused* round for a contiguous slice of agents: for
     /// each agent in slice order, draws its observation from `source`,
     /// applies the update, writes the new public opinion to `outputs[i]`,
@@ -284,20 +247,12 @@ pub trait Protocol {
     /// memory (no observation or scratch buffers).
     ///
     /// The default implementation loops over [`Protocol::step`] and is
-    /// always correct; since [`Protocol::step_batch`] is required to
-    /// preserve sequential-step semantics, this is behaviourally the
-    /// batched kernel with the buffers deleted. Protocols with a hot
-    /// decision rule (FET, voter, 3-majority) override it with a kernel
-    /// that hoists per-observation validation and table lookups out of the
-    /// loop; overrides **must** stay stream-identical to the default (same
-    /// per-agent draw interleaving, same results for a given RNG state),
-    /// so every representation of one protocol walks one fused stream.
-    ///
-    /// Note the fused path's RNG *interleaving* differs from the batched
-    /// path's (observation and update draws alternate per agent instead of
-    /// all observations being drawn first), so fused and batched rounds
-    /// are two distinct deterministic streams of the same distribution —
-    /// see `fet-sim`'s engine docs for the execution-mode story.
+    /// always correct. Protocols with a hot decision rule (FET, voter,
+    /// 3-majority) override it with a kernel that hoists per-observation
+    /// validation and table lookups out of the loop; overrides **must**
+    /// stay stream-identical to the default (same per-agent draw
+    /// interleaving, same results for a given RNG state), so every
+    /// representation of one protocol walks one stream.
     ///
     /// # Panics
     ///

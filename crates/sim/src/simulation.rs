@@ -19,12 +19,11 @@
 //! * **scheduler** — synchronous rounds ([`Scheduler::Synchronous`]) or the
 //!   population-protocol-style random-activation scheduler
 //!   ([`Scheduler::Asynchronous`]).
-//! * **execution mode** — how a synchronous round executes:
-//!   [`ExecutionMode::Auto`] (default; a fused single-pass kernel on
-//!   mean-field rounds — work-sharded across threads above an `n`
-//!   threshold on multi-core hosts — and the batched pipeline otherwise),
-//!   or force one with [`ExecutionMode::Fused`] /
-//!   [`ExecutionMode::FusedParallel`] / [`ExecutionMode::Batched`].
+//! * **execution mode** — whether the synchronous round (one fused
+//!   single-pass kernel) is work-sharded: [`ExecutionMode::Auto`]
+//!   (default; sharded across threads above an `n` threshold on
+//!   multi-core hosts), or force it with [`ExecutionMode::Fused`] /
+//!   [`ExecutionMode::FusedParallel`].
 //! * **fault plan, initial condition, convergence criterion, budgets,
 //!   seed, trajectory recording** — one method each.
 //!
@@ -38,7 +37,7 @@
 //! [`PopulationEngine`]: the protocol handle builds a type-erased
 //! *population container* (one contiguous buffer of concrete states, see
 //! [`fet_core::population`]) and every round dispatches once into the typed
-//! batch kernel. A registry-name run is therefore stream-identical to, and
+//! fused kernel. A registry-name run is therefore stream-identical to, and
 //! within a few percent of, the equivalent typed `Engine<P>` run; the older
 //! per-agent boxed route (`Engine<ErasedProtocol>`) remains available for
 //! code that needs owned boxed states but is no longer used here.
@@ -178,9 +177,9 @@ pub struct RunReport {
     /// Fidelity the run used.
     pub fidelity: Fidelity,
     /// Execution mode the run was configured with ([`ExecutionMode::Auto`]
-    /// resolves to the fused single-pass kernel on synchronous mean-field
-    /// runs and the batched pipeline otherwise; the aggregate and
-    /// asynchronous runners have one implementation each).
+    /// shards synchronous rounds above an `n` threshold on multi-core
+    /// hosts; the aggregate and asynchronous runners have one
+    /// implementation each).
     pub mode: ExecutionMode,
     /// Scheduler the run used.
     pub scheduler: Scheduler,
@@ -638,21 +637,15 @@ impl SimulationBuilder {
         self
     }
 
-    /// Sets the synchronous round implementation (default
-    /// [`ExecutionMode::Auto`]: a fused single-pass kernel on mean-field
-    /// *and* topology (graph) rounds — parallelized above an `n` threshold
-    /// on multi-core hosts — and the batched pipeline for the literal
-    /// complete-graph Agent fidelity). Forcing [`ExecutionMode::Fused`] or
+    /// Sets whether synchronous rounds are work-sharded (default
+    /// [`ExecutionMode::Auto`]: parallelized above an `n` threshold on
+    /// multi-core hosts). Forcing [`ExecutionMode::Fused`] or
     /// [`ExecutionMode::FusedParallel`] is validated in
     /// [`SimulationBuilder::build`]: both require a synchronous per-agent
-    /// run with an on-demand observation source (any mean-field fidelity,
-    /// or any topology — only the literal Agent fidelity on the complete
-    /// graph is rejected), and the parallel mode additionally a non-zero
-    /// thread count and a
-    /// [`parallel_eligible`](fet_core::protocol::Protocol::parallel_eligible)
+    /// run, and the parallel mode additionally a non-zero thread count and
+    /// a [`parallel_eligible`](fet_core::protocol::Protocol::parallel_eligible)
     /// protocol. Note the stream caveat in [`crate::engine`]'s docs: each
-    /// mode (and each parallel shard count) is its own deterministic
-    /// stream per seed.
+    /// parallel shard count is its own deterministic stream per seed.
     pub fn execution_mode(mut self, mode: ExecutionMode) -> Self {
         self.mode = mode;
         self
@@ -677,10 +670,8 @@ impl SimulationBuilder {
     /// [`Storage::BitPlane`] is validated in
     /// [`SimulationBuilder::build`]: it requires a packable passive
     /// protocol ([`fet_core::protocol::Protocol::state_planes`]), the
-    /// synchronous scheduler, a fused-capable configuration (any
-    /// mean-field fidelity, or any topology — not the literal Agent
-    /// fidelity on the complete graph, and not
-    /// [`ExecutionMode::Batched`]), and no sleepy-agent faults.
+    /// synchronous scheduler, a per-agent fidelity, and no sleepy-agent
+    /// faults.
     pub fn storage(mut self, s: Storage) -> Self {
         self.storage = s;
         self
@@ -874,8 +865,8 @@ impl SimulationBuilder {
             }
         }
         if self.mode != ExecutionMode::Auto {
-            // The batched/fused choice exists only for the synchronous
-            // per-agent engine; other runners have a single implementation.
+            // The sharding choice exists only for the synchronous per-agent
+            // engine; other runners have a single implementation.
             if self.scheduler == Scheduler::Asynchronous || fidelity == Fidelity::Aggregate {
                 return Err(Self::invalid(
                     "mode",
@@ -885,19 +876,6 @@ impl SimulationBuilder {
                          implementation each (use ExecutionMode::Auto)",
                         self.mode
                     ),
-                ));
-            }
-            let fused_family = matches!(
-                self.mode,
-                ExecutionMode::Fused | ExecutionMode::FusedParallel { .. }
-            );
-            if fused_family && self.topology.is_none() && fidelity == Fidelity::Agent {
-                return Err(Self::invalid(
-                    "mode",
-                    "offending axis: fidelity — the literal Agent fidelity on the complete \
-                     graph has no on-demand observation source and keeps the snapshot-driven \
-                     batched path; fused modes run on the mean-field fidelities \
-                     (Binomial/WithoutReplacement) and on topology (graph) runs",
                 ));
             }
             if matches!(self.mode, ExecutionMode::FusedParallel { threads: 0 }) {
@@ -919,9 +897,9 @@ impl SimulationBuilder {
             }
         }
 
-        // Storage is a synchronous per-agent engine axis riding the fused
-        // round family; every requirement is checkable here, so forcing
-        // bit planes fails at build time with the offending axis named.
+        // Storage is a synchronous per-agent engine axis; every requirement
+        // is checkable here, so forcing bit planes fails at build time with
+        // the offending axis named.
         let bit_plane_obstacle: Option<String> = if self.scheduler == Scheduler::Asynchronous {
             Some(
                 "offending axis: scheduler — the asynchronous runner steps boxed per-agent \
@@ -932,19 +910,6 @@ impl SimulationBuilder {
             Some(
                 "offending axis: fidelity — the aggregate chain keeps no per-agent states \
                  to pack"
-                    .into(),
-            )
-        } else if self.mode == ExecutionMode::Batched {
-            Some(
-                "offending axis: mode — bit-plane populations run the fused round family, \
-                 not the snapshot-driven batched pipeline"
-                    .into(),
-            )
-        } else if self.topology.is_none() && fidelity == Fidelity::Agent {
-            Some(
-                "offending axis: fidelity — the literal Agent fidelity on the complete graph \
-                 keeps the batched path, which bit planes do not support (use \
-                 Binomial/WithoutReplacement fidelity, or a topology)"
                     .into(),
             )
         } else if effective_fault.sleep_prob > 0.0 {
@@ -1170,34 +1135,28 @@ mod tests {
 
     #[test]
     fn execution_mode_axis_builds_and_converges() {
-        for mode in [
-            ExecutionMode::Auto,
-            ExecutionMode::Batched,
-            ExecutionMode::Fused,
-            ExecutionMode::FusedParallel { threads: 2 },
-        ] {
-            let mut sim = Simulation::builder()
-                .population(300)
-                .seed(7)
-                .execution_mode(mode)
-                .build()
-                .unwrap();
-            let report = sim.run();
-            assert!(report.converged(), "{mode:?}: {report:?}");
-            assert_eq!(report.mode, mode);
+        for fidelity in [Fidelity::Binomial, Fidelity::Agent] {
+            for mode in [
+                ExecutionMode::Auto,
+                ExecutionMode::Fused,
+                ExecutionMode::FusedParallel { threads: 2 },
+            ] {
+                let mut sim = Simulation::builder()
+                    .population(300)
+                    .seed(7)
+                    .fidelity(fidelity)
+                    .execution_mode(mode)
+                    .build()
+                    .unwrap();
+                let report = sim.run();
+                assert!(report.converged(), "{fidelity:?} {mode:?}: {report:?}");
+                assert_eq!(report.mode, mode);
+            }
         }
     }
 
     #[test]
     fn fused_mode_rejects_incompatible_configurations() {
-        // Literal fidelity needs the snapshot-driven batched path.
-        let err = Simulation::builder()
-            .population(100)
-            .fidelity(Fidelity::Agent)
-            .execution_mode(ExecutionMode::Fused)
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("fused"), "{err}");
         // Aggregate and async runners have one implementation each.
         for (fidelity, scheduler) in [
             (Some(Fidelity::Aggregate), Scheduler::Synchronous),
@@ -1217,14 +1176,6 @@ mod tests {
 
     #[test]
     fn fused_parallel_mode_is_validated_at_build_time() {
-        // Literal fidelity needs the snapshot-driven batched path.
-        let err = Simulation::builder()
-            .population(100)
-            .fidelity(Fidelity::Agent)
-            .execution_mode(ExecutionMode::FusedParallel { threads: 4 })
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("fused"), "{err}");
         // Zero threads is meaningless.
         let err = Simulation::builder()
             .population(100)
@@ -1370,11 +1321,6 @@ mod tests {
                 .storage(Storage::BitPlane)
         };
         for (what, builder) in [
-            (
-                "batched mode",
-                base().execution_mode(ExecutionMode::Batched),
-            ),
-            ("literal fidelity", base().fidelity(Fidelity::Agent)),
             ("aggregate fidelity", base().fidelity(Fidelity::Aggregate)),
             (
                 "async scheduler",

@@ -1,31 +1,34 @@
-//! Observation sources: every fused observation draw, one abstraction.
+//! Observation sources: every on-demand observation draw, one abstraction.
 //!
-//! The fused round kernels ([`Protocol::step_fused`]) never see buffers —
-//! they pull each agent's [`Observation`] from an
-//! [`ObservationSource`] on demand. This module is where the engine's
-//! sources live, one per sampling rule:
+//! The round kernels ([`Protocol::step_fused`]) never see buffers — they
+//! pull each agent's [`Observation`] from an [`ObservationSource`] on
+//! demand. This module is where the engine's sources live, one per
+//! sampling rule:
 //!
-//! * [`MeanFieldSource`] — the complete-graph fidelities
+//! * [`MeanFieldSource`] — the complete-graph shortcuts
 //!   ([`Fidelity::Binomial`] / [`Fidelity::WithoutReplacement`]): an
 //!   observation is a pure function of the round-start global 1-count and
 //!   the RNG, so the source is just the round's sampler configuration.
-//! * [`GraphSource`] — neighborhood sampling on an explicit
-//!   [`Neighborhood`]: agent `i` samples `m` neighbors **with
-//!   replacement** from its adjacency list and counts 1-opinions in the
-//!   round-start snapshot. The source is *positional*: it carries a vertex
-//!   cursor that advances once per draw, so it must be constructed knowing
-//!   the first vertex it streams for.
+//! * [`GraphSource`] — literal index sampling over an [`Adjacency`]:
+//!   agent `i` samples `m` vertices **with replacement** from its row and
+//!   counts 1-opinions in the round-start snapshot. The row is an explicit
+//!   [`Neighborhood`]'s adjacency list, or — for the literal
+//!   [`Fidelity::Agent`] on the complete graph, the paper's PULL model
+//!   taken literally — the implicit row of all `n` agents. The source is
+//!   *positional*: it carries a vertex cursor that advances once per
+//!   agent, so it must be constructed knowing the first vertex it streams
+//!   for.
 //!
-//! Both sources compose the same per-observation fault corruption
-//! ([`FaultPlan::corrupt_count`]) the batched pipeline applies, and both
-//! come with a [`ShardSourceFactory`] so the work-sharded parallel round
-//! can hand every shard a private source: [`MeanFieldSourceFactory`]
-//! ignores the shard range (mean-field draws are position-oblivious),
-//! [`GraphSourceFactory`] aligns the cursor with the shard's first agent.
-//! Either way a source's draws are a pure function of the round
-//! configuration and the shard plan — never of worker scheduling — which
-//! is what keeps parallel graph rounds on the `(seed, shard count)`
-//! determinism contract.
+//! Both sources compose per-observation fault corruption
+//! ([`FaultPlan::corrupt_count`]), and both come with a
+//! [`ShardSourceFactory`] so every round implementation — single-threaded,
+//! work-sharded, or the sleepy per-agent loop — builds its sources the
+//! same way: [`MeanFieldSourceFactory`] ignores the shard range
+//! (mean-field draws are position-oblivious), [`GraphSourceFactory`]
+//! aligns the cursor with the shard's first agent. Either way a source's
+//! draws are a pure function of the round configuration and the shard
+//! plan — never of worker scheduling — which is what keeps parallel rounds
+//! on the `(seed, shard count)` determinism contract.
 //!
 //! Funneling *all* on-demand draws through this one abstraction is what
 //! made the vectorized sampling tier slot in without touching any kernel:
@@ -40,6 +43,7 @@
 //! [`BinomialSampler::try_sample_block`]: fet_stats::binomial::BinomialSampler::try_sample_block
 //!
 //! [`Protocol::step_fused`]: fet_core::protocol::Protocol::step_fused
+//! [`Fidelity::Agent`]: crate::engine::Fidelity::Agent
 //! [`Fidelity::Binomial`]: crate::engine::Fidelity::Binomial
 //! [`Fidelity::WithoutReplacement`]: crate::engine::Fidelity::WithoutReplacement
 
@@ -65,12 +69,11 @@ pub enum MeanFieldSampler<'a> {
     Hypergeometric(&'a fet_stats::hypergeometric::Hypergeometric),
 }
 
-/// The engine's [`ObservationSource`] for mean-field fused rounds: the
-/// fidelity's per-round sampler plus per-observation fault corruption —
-/// exactly the sampling semantics of the batched pipeline's sampler
-/// branches, delivered one observation at a time so no buffer ever
-/// exists. The noise-free configuration (`fault: None`) skips the
-/// corruption call, keeping the per-agent cost to one sampler draw.
+/// The engine's [`ObservationSource`] for mean-field rounds: the
+/// fidelity's per-round sampler plus per-observation fault corruption,
+/// delivered one observation at a time so no buffer ever exists. The
+/// noise-free configuration (`fault: None`) skips the corruption call,
+/// keeping the per-agent cost to one sampler draw.
 #[derive(Debug)]
 pub struct MeanFieldSource<'a> {
     pub(crate) sampler: MeanFieldSampler<'a>,
@@ -236,29 +239,69 @@ impl<'a, const N: usize> From<&'a [Opinion; N]> for SnapshotView<'a> {
     }
 }
 
-/// The engine's [`ObservationSource`] for graph (neighborhood) fused
-/// rounds: for each successive agent, samples `m` neighbors uniformly
-/// **with replacement** from the agent's adjacency list, counts 1-opinions
-/// in the round-start snapshot, and applies per-observation fault
-/// corruption — the sampling semantics of the batched pipeline's
-/// neighborhood branch (same law, its own index-draw stream), delivered
-/// one observation at a time so no observation buffer ever exists.
+/// Who each agent samples from: an explicit communication structure, or
+/// the complete graph kept implicit.
+#[derive(Debug, Clone, Copy)]
+pub enum Adjacency<'a> {
+    /// Vertex `v` samples from `neighbors_of(v)`.
+    Graph(&'a dyn Neighborhood),
+    /// Every vertex samples from all `n` vertices, itself and the sources
+    /// included — the literal PULL model. Index `k` is vertex `k`, so no
+    /// adjacency list exists and no gather happens.
+    Complete {
+        /// Number of vertices.
+        n: u32,
+    },
+}
+
+/// One agent's sampling row: the `d` vertices its index draws map onto.
+/// The draw loops are generic over it, so each adjacency kind gets its
+/// own monomorphic loop and none branches per draw.
+trait Row: Copy {
+    /// The vertex at draw index `idx < d`.
+    fn vertex(self, idx: u32) -> u32;
+}
+
+impl Row for &[u32] {
+    #[inline]
+    fn vertex(self, idx: u32) -> u32 {
+        self[idx as usize]
+    }
+}
+
+/// The complete graph's row: draw index `k` is vertex `k`.
+#[derive(Clone, Copy)]
+struct AllVertices;
+
+impl Row for AllVertices {
+    #[inline]
+    fn vertex(self, idx: u32) -> u32 {
+        idx
+    }
+}
+
+/// The engine's [`ObservationSource`] for literal index sampling: for
+/// each successive agent, samples `m` vertices uniformly **with
+/// replacement** from the agent's [`Adjacency`] row, counts 1-opinions in
+/// the round-start snapshot, and applies per-observation fault corruption
+/// — one observation at a time, so no observation buffer ever exists.
 ///
 /// The source is positional: construction fixes the first vertex it
-/// streams for, and the cursor advances once per draw. The snapshot it
-/// reads is the engine's *round-start opinion double buffer* (all `n`
-/// vertices, sources included), so the fused round preserves the
-/// synchronous semantics — every observation reads round-`t` outputs even
-/// though the kernel writes round-`t+1` outputs in place.
+/// streams for, and the cursor advances once per agent (drawn or
+/// [skipped](ObservationSource::skip)). The snapshot it reads is the
+/// engine's *round-start opinions* (all `n` vertices, sources included),
+/// so rounds keep the synchronous semantics — every observation reads
+/// round-`t` outputs even though the kernel writes round-`t+1` outputs in
+/// place.
 ///
 /// # The owned index stream
 ///
 /// The kernel hands sources a `&mut dyn RngCore`, so every word drawn
 /// from it costs a truly opaque virtual call — at `m = 2ℓ` index draws
 /// per agent, that call (and the instruction-level parallelism it
-/// forfeits inside the sampling loop) would dominate a graph observation.
-/// A graph source therefore owns a **concrete** [`SmallRng`] for its
-/// index draws, seeded by a counter-based split of the engine's dedicated
+/// forfeits inside the sampling loop) would dominate an observation. A
+/// graph source therefore owns a **concrete** [`SmallRng`] for its index
+/// draws, seeded by a counter-based split of the engine's dedicated
 /// `graph-index` stream and the source's first agent index
 /// ([`fet_stats::rng::counter_split`]): the generator state lives in
 /// registers across the whole sampling loop, and each 64-bit word yields
@@ -269,7 +312,7 @@ impl<'a, const N: usize> From<&'a [Opinion; N]> for SnapshotView<'a> {
 /// `(engine seed, round, first agent)` — never of worker scheduling.
 #[derive(Debug)]
 pub struct GraphSource<'a> {
-    neighborhood: &'a dyn Neighborhood,
+    adjacency: Adjacency<'a>,
     snapshot: SnapshotView<'a>,
     fault: Option<&'a FaultPlan>,
     m: u32,
@@ -281,10 +324,10 @@ pub struct GraphSource<'a> {
 
 impl<'a> GraphSource<'a> {
     /// A source streaming observations for vertices `first_vertex..`, in
-    /// order, drawing neighbor indices from the stream seeded by
-    /// `index_seed`. `snapshot` holds the round-start output of **every**
-    /// vertex (sources included, vertex-id indexed); `fault` should be
-    /// `Some` only when observation noise is active.
+    /// order, drawing indices from the stream seeded by `index_seed`.
+    /// `snapshot` holds the round-start output of **every** vertex
+    /// (sources included, vertex-id indexed); `fault` should be `Some`
+    /// only when observation noise is active.
     ///
     /// Every streamed vertex must have at least one neighbor (the PULL
     /// model cannot deliver an observation to an isolated vertex —
@@ -292,7 +335,7 @@ impl<'a> GraphSource<'a> {
     /// [`crate::neighborhood::ensure_observable`]); drawing for an
     /// isolated vertex panics.
     pub fn new(
-        neighborhood: &'a dyn Neighborhood,
+        adjacency: Adjacency<'a>,
         snapshot: impl Into<SnapshotView<'a>>,
         fault: Option<&'a FaultPlan>,
         m: u32,
@@ -300,7 +343,7 @@ impl<'a> GraphSource<'a> {
         index_seed: u64,
     ) -> Self {
         GraphSource {
-            neighborhood,
+            adjacency,
             snapshot: snapshot.into(),
             fault,
             m,
@@ -312,33 +355,50 @@ impl<'a> GraphSource<'a> {
 
 impl ObservationSource for GraphSource<'_> {
     fn next_observation(&mut self, rng: &mut dyn RngCore) -> Observation {
-        let neighbors = self.neighborhood.neighbors_of(self.vertex);
-        debug_assert!(
-            !neighbors.is_empty(),
-            "vertex {} has no neighbors to observe (see ensure_observable)",
-            self.vertex
-        );
+        let vertex = self.vertex;
         self.vertex += 1;
-        let d = u32::try_from(neighbors.len()).expect("degree < n fits u32");
-        let raw_ones = if d == 1 {
-            // A degree-1 vertex observes its one neighbor m times:
-            // unanimous by construction, no randomness to draw.
-            u32::from(self.snapshot.is_one(neighbors[0])) * self.m
-        } else {
-            sample_neighbor_ones(
-                isa::active_path(),
+        let path = isa::active_path();
+        let raw_ones = match self.adjacency {
+            Adjacency::Graph(neighborhood) => {
+                let neighbors = neighborhood.neighbors_of(vertex);
+                debug_assert!(
+                    !neighbors.is_empty(),
+                    "vertex {vertex} has no neighbors to observe (see ensure_observable)"
+                );
+                let d = u32::try_from(neighbors.len()).expect("degree < n fits u32");
+                if d == 1 {
+                    // A degree-1 vertex observes its one neighbor m times:
+                    // unanimous by construction, no randomness to draw.
+                    u32::from(self.snapshot.is_one(neighbors[0])) * self.m
+                } else {
+                    sample_ones(
+                        path,
+                        &mut self.index_rng,
+                        self.snapshot,
+                        neighbors,
+                        d,
+                        self.m,
+                    )
+                }
+            }
+            Adjacency::Complete { n } => sample_ones(
+                path,
                 &mut self.index_rng,
                 self.snapshot,
-                neighbors,
-                d,
+                AllVertices,
+                n,
                 self.m,
-            )
+            ),
         };
         let seen = match self.fault {
             Some(fault) => fault.corrupt_count(raw_ones, self.m, rng),
             None => raw_ones,
         };
         Observation::new(seen, self.m).expect("corrupt_count preserves the bound")
+    }
+
+    fn skip(&mut self) {
+        self.vertex += 1;
     }
 }
 
@@ -405,7 +465,7 @@ impl<'r> LaneFeed<'r> {
 fn scalar_draws(
     feed: &mut LaneFeed<'_>,
     snapshot: SnapshotView<'_>,
-    neighbors: &[u32],
+    row: impl Row,
     d: u32,
     threshold: u32,
     count: u32,
@@ -419,50 +479,43 @@ fn scalar_draws(
                 break (wide >> 32) as u32;
             }
         };
-        ones += u32::from(snapshot.is_one(neighbors[idx as usize]));
+        ones += u32::from(snapshot.is_one(row.vertex(idx)));
     }
     ones
 }
 
-/// One agent's `m` neighbor draws through the selected ISA path. Word and
-/// lane state is per-agent — fresh on entry, leftover lanes discarded on
-/// return — exactly as the scalar loop always behaved.
+/// One agent's `m` draws from a `d`-vertex row through the selected ISA
+/// path. Word and lane state is per-agent — fresh on entry, leftover
+/// lanes discarded on return — exactly as the scalar loop always behaved.
 ///
 /// The vector tiers speculate: eight draws consume exactly four RNG words
 /// when no lane is rejected, so a group of eight is computed from four
 /// words pulled up front. Any rejection (impossible for power-of-two
-/// degree, probability `≈ 8·(2³² mod d)/2³²` per group otherwise) replays
+/// `d`, probability `≈ 8·(2³² mod d)/2³²` per group otherwise) replays
 /// those same four words through the reference loop, which then finishes
 /// the agent scalar — the consumed stream is bit-identical to
 /// [`IsaPath::Scalar`] in every case.
-fn sample_neighbor_ones(
+fn sample_ones<R: Row>(
     path: IsaPath,
     rng: &mut SmallRng,
     snapshot: SnapshotView<'_>,
-    neighbors: &[u32],
+    row: R,
     d: u32,
     m: u32,
 ) -> u32 {
     let threshold = d.wrapping_neg() % d; // 2³² mod d
     match path {
-        IsaPath::Scalar => scalar_draws(
-            &mut LaneFeed::fresh(rng),
-            snapshot,
-            neighbors,
-            d,
-            threshold,
-            m,
-        ),
-        IsaPath::Swar => vector_draws(isa::lemire8_swar, rng, snapshot, neighbors, d, threshold, m),
+        IsaPath::Scalar => scalar_draws(&mut LaneFeed::fresh(rng), snapshot, row, d, threshold, m),
+        IsaPath::Swar => vector_draws(isa::lemire8_swar, rng, snapshot, row, d, threshold, m),
         IsaPath::Avx2 => {
             #[cfg(all(target_arch = "x86_64", not(fet_no_simd)))]
             {
                 if isa::avx2_available() {
                     // SAFETY: AVX2 availability checked at runtime just above.
-                    return unsafe { vector_draws_avx2(rng, snapshot, neighbors, d, threshold, m) };
+                    return unsafe { vector_draws_avx2(rng, snapshot, row, d, threshold, m) };
                 }
             }
-            vector_draws(isa::lemire8_swar, rng, snapshot, neighbors, d, threshold, m)
+            vector_draws(isa::lemire8_swar, rng, snapshot, row, d, threshold, m)
         }
     }
 }
@@ -473,11 +526,11 @@ fn sample_neighbor_ones(
 /// once per 8 draws, which is the difference between winning and losing
 /// to the scalar loop on short degree draws.
 #[inline(always)]
-fn vector_draws(
+fn vector_draws<R: Row>(
     lemire8: impl Fn(&[u64; 4], u32, u32, &mut [u32; 8]) -> u8,
     rng: &mut SmallRng,
     snapshot: SnapshotView<'_>,
-    neighbors: &[u32],
+    row: R,
     d: u32,
     threshold: u32,
     m: u32,
@@ -495,18 +548,18 @@ fn vector_draws(
         let rejections = lemire8(&words, d, threshold, &mut idx8);
         if rejections == 0 {
             for &idx in &idx8 {
-                ones += u32::from(snapshot.is_one(neighbors[idx as usize]));
+                ones += u32::from(snapshot.is_one(row.vertex(idx)));
             }
             remaining -= 8;
         } else {
             let mut feed = LaneFeed::replaying(words, rng);
-            return ones + scalar_draws(&mut feed, snapshot, neighbors, d, threshold, remaining);
+            return ones + scalar_draws(&mut feed, snapshot, row, d, threshold, remaining);
         }
     }
     ones + scalar_draws(
         &mut LaneFeed::fresh(rng),
         snapshot,
-        neighbors,
+        row,
         d,
         threshold,
         remaining,
@@ -522,10 +575,10 @@ fn vector_draws(
 /// The CPU must support AVX2 (check [`isa::avx2_available`]).
 #[cfg(all(target_arch = "x86_64", not(fet_no_simd)))]
 #[target_feature(enable = "avx2")]
-unsafe fn vector_draws_avx2(
+unsafe fn vector_draws_avx2<R: Row>(
     rng: &mut SmallRng,
     snapshot: SnapshotView<'_>,
-    neighbors: &[u32],
+    row: R,
     d: u32,
     threshold: u32,
     m: u32,
@@ -534,25 +587,24 @@ unsafe fn vector_draws_avx2(
         |words, d, threshold, out| unsafe { isa::lemire8_avx2_unchecked(words, d, threshold, out) },
         rng,
         snapshot,
-        neighbors,
+        row,
         d,
         threshold,
         m,
     )
 }
 
-/// The engine's [`ShardSourceFactory`] for graph rounds: hands every
-/// shard a [`GraphSource`] whose cursor starts at the shard's first agent
-/// and whose index stream is seeded by
-/// [`counter_split`]`(round_base, range.start)`. The adjacency structure
-/// and the round-start snapshot
-/// are shared read-only across workers; each shard's draws depend only on
-/// its range and the round base, so graph shard streams are
-/// worker-invariant exactly like the mean-field ones. The single-threaded
-/// fused round uses the same factory with the full range `0..n`.
+/// The engine's [`ShardSourceFactory`] for index-sampling rounds: hands
+/// every shard a [`GraphSource`] whose cursor starts at the shard's first
+/// agent and whose index stream is seeded by
+/// [`counter_split`]`(round_base, range.start)`. The adjacency and the
+/// round-start snapshot are shared read-only across workers; each shard's
+/// draws depend only on its range and the round base, so shard streams
+/// are worker-invariant exactly like the mean-field ones. The
+/// single-threaded round uses the same factory with the full range `0..n`.
 #[derive(Debug)]
 pub struct GraphSourceFactory<'a> {
-    neighborhood: &'a dyn Neighborhood,
+    adjacency: Adjacency<'a>,
     snapshot: SnapshotView<'a>,
     fault: Option<&'a FaultPlan>,
     m: u32,
@@ -571,7 +623,7 @@ impl<'a> GraphSourceFactory<'a> {
     /// round's counter-derived index-stream base, from which each shard's
     /// seed splits purely by its range start.
     pub fn new(
-        neighborhood: &'a dyn Neighborhood,
+        adjacency: Adjacency<'a>,
         snapshot: impl Into<SnapshotView<'a>>,
         fault: Option<&'a FaultPlan>,
         m: u32,
@@ -580,7 +632,7 @@ impl<'a> GraphSourceFactory<'a> {
         round: u64,
     ) -> Self {
         GraphSourceFactory {
-            neighborhood,
+            adjacency,
             snapshot: snapshot.into(),
             fault,
             m,
@@ -588,25 +640,18 @@ impl<'a> GraphSourceFactory<'a> {
             round_base: counter_stream_base(index_stream, round),
         }
     }
+}
 
-    /// Builds the shard source for `range` without boxing — the
-    /// single-threaded fused round calls this with `0..n` and keeps the
-    /// source on the stack (no per-round allocation).
-    pub fn source_for(&self, range: Range<usize>) -> GraphSource<'_> {
-        GraphSource::new(
-            self.neighborhood,
+impl ShardSourceFactory for GraphSourceFactory<'_> {
+    fn shard_source(&self, range: Range<usize>) -> Box<dyn ObservationSource + '_> {
+        Box::new(GraphSource::new(
+            self.adjacency,
             self.snapshot,
             self.fault,
             self.m,
             self.vertex_base + u32::try_from(range.start).expect("n is validated to fit u32"),
             counter_split(self.round_base, range.start as u64),
-        )
-    }
-}
-
-impl ShardSourceFactory for GraphSourceFactory<'_> {
-    fn shard_source(&self, range: Range<usize>) -> Box<dyn ObservationSource + '_> {
-        Box::new(self.source_for(range))
+        ))
     }
 }
 
@@ -639,7 +684,7 @@ mod tests {
     fn graph_source_counts_snapshot_ones_along_the_cursor() {
         let snapshot = [Opinion::One, Opinion::Zero];
         let mut rng = SmallRng::seed_from_u64(1);
-        let mut source = GraphSource::new(&Funnel, &snapshot, None, 3, 0, 11);
+        let mut source = GraphSource::new(Adjacency::Graph(&Funnel), &snapshot, None, 3, 0, 11);
         // Vertex 0 sees only vertex 1 (a zero), vertex 1 only vertex 0 (a
         // one): unanimous counts either way, independent of the RNG.
         assert_eq!(source.next_observation(&mut rng).ones(), 0);
@@ -649,7 +694,8 @@ mod tests {
     #[test]
     fn graph_factory_aligns_the_cursor_with_the_shard_range() {
         let snapshot = [Opinion::One, Opinion::Zero];
-        let factory = GraphSourceFactory::new(&Funnel, &snapshot, None, 2, 0, 9, 3);
+        let factory =
+            GraphSourceFactory::new(Adjacency::Graph(&Funnel), &snapshot, None, 2, 0, 9, 3);
         let mut rng = SmallRng::seed_from_u64(2);
         // A shard starting at agent 1 streams vertex 1 first.
         let mut source = factory.shard_source(1..2);
@@ -684,8 +730,8 @@ mod tests {
             words: &[0b0],
         };
         let mut rng = SmallRng::seed_from_u64(5);
-        let mut by_bytes = GraphSource::new(&Funnel, &snapshot, None, 3, 1, 11);
-        let mut by_bits = GraphSource::new(&Funnel, bits, None, 3, 1, 11);
+        let mut by_bytes = GraphSource::new(Adjacency::Graph(&Funnel), &snapshot, None, 3, 1, 11);
+        let mut by_bits = GraphSource::new(Adjacency::Graph(&Funnel), bits, None, 3, 1, 11);
         assert_eq!(
             by_bytes.next_observation(&mut rng).ones(),
             by_bits.next_observation(&mut rng).ones(),
@@ -723,12 +769,14 @@ mod tests {
     /// the same ones — across rejection-prone (d = 3, 7) and
     /// rejection-free (d = 4) degrees, and across draw counts that
     /// exercise the vector groups, the rejection replay, and the scalar
-    /// tail.
+    /// tail. The implicit complete-graph row draws exactly what the
+    /// explicit row of every vertex does.
     #[test]
     fn neighbor_sampling_paths_are_stream_identical() {
         for d in [3u32, 4, 7] {
             let graph = Complete::new(d + 1);
             let neighbors = graph.neighbors_of(0);
+            let every_vertex: Vec<u32> = (0..=d).collect();
             let snapshot: Vec<Opinion> = (0..=d)
                 .map(|v| {
                     if v % 2 == 0 {
@@ -742,18 +790,25 @@ mod tests {
             for m in [1u32, 7, 8, 9, 16, 21, 64] {
                 let seed = 0xFEED ^ (u64::from(d) << 8) ^ u64::from(m);
                 let mut rng_ref = SmallRng::seed_from_u64(seed);
-                let expect =
-                    sample_neighbor_ones(IsaPath::Scalar, &mut rng_ref, view, neighbors, d, m);
+                let expect = sample_ones(IsaPath::Scalar, &mut rng_ref, view, neighbors, d, m);
                 let end_state = rng_ref.next_u64();
                 for path in IsaPath::available() {
                     let mut rng_path = SmallRng::seed_from_u64(seed);
-                    let got = sample_neighbor_ones(path, &mut rng_path, view, neighbors, d, m);
+                    let got = sample_ones(path, &mut rng_path, view, neighbors, d, m);
                     assert_eq!(got, expect, "d={d} m={m} {path:?}: counts diverged");
                     assert_eq!(
                         rng_path.next_u64(),
                         end_state,
                         "d={d} m={m} {path:?}: RNG word consumption diverged"
                     );
+                    let mut rng_implicit = SmallRng::seed_from_u64(seed);
+                    let mut rng_explicit = SmallRng::seed_from_u64(seed);
+                    assert_eq!(
+                        sample_ones(path, &mut rng_implicit, view, AllVertices, d + 1, m),
+                        sample_ones(path, &mut rng_explicit, view, &every_vertex[..], d + 1, m),
+                        "d={d} m={m} {path:?}: implicit complete row diverged"
+                    );
+                    assert_eq!(rng_implicit.next_u64(), rng_explicit.next_u64());
                 }
             }
         }
@@ -763,9 +818,33 @@ mod tests {
     fn index_streams_are_pure_in_round_and_range() {
         // Same (stream, round, range) ⇒ same draws; different rounds or
         // range starts ⇒ different streams.
-        let a = GraphSourceFactory::new(&Funnel, &[Opinion::One, Opinion::Zero], None, 2, 0, 9, 3);
-        let b = GraphSourceFactory::new(&Funnel, &[Opinion::One, Opinion::Zero], None, 2, 0, 9, 3);
-        let c = GraphSourceFactory::new(&Funnel, &[Opinion::One, Opinion::Zero], None, 2, 0, 9, 4);
+        let a = GraphSourceFactory::new(
+            Adjacency::Graph(&Funnel),
+            &[Opinion::One, Opinion::Zero],
+            None,
+            2,
+            0,
+            9,
+            3,
+        );
+        let b = GraphSourceFactory::new(
+            Adjacency::Graph(&Funnel),
+            &[Opinion::One, Opinion::Zero],
+            None,
+            2,
+            0,
+            9,
+            3,
+        );
+        let c = GraphSourceFactory::new(
+            Adjacency::Graph(&Funnel),
+            &[Opinion::One, Opinion::Zero],
+            None,
+            2,
+            0,
+            9,
+            4,
+        );
         assert_eq!(a.round_base, b.round_base);
         assert_ne!(a.round_base, c.round_base);
         assert_ne!(

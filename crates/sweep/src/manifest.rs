@@ -420,6 +420,22 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// A manifest written for a spec that said `"mode": "batched"` was
+    /// hashed over that spelling; the same spec now canonicalizes to
+    /// `fused`, so the old journal is refused, never resumed onto the new
+    /// stream.
+    #[test]
+    fn manifests_of_batched_specs_are_refused() {
+        let spec =
+            SweepSpec::parse(r#"{"n": [100], "fidelity": "agent", "mode": "batched"}"#).unwrap();
+        let path = temp_path("batched");
+        // The header the batched-era canonical form hashed to.
+        std::fs::write(&path, "{\"spec_hash\":\"fd4be503b02ad662\"}\n").unwrap();
+        let err = Manifest::open(&path, &spec).unwrap_err();
+        assert!(matches!(err, SweepError::ManifestMismatch { .. }), "{err}");
+        std::fs::remove_file(&path).unwrap();
+    }
+
     #[test]
     fn duplicate_appends_are_ignored() {
         let spec = SweepSpec::single_cell(100, 1, 2);

@@ -427,6 +427,29 @@ mod tests {
         assert!(response.starts_with("HTTP/1.1 413"), "{response}");
     }
 
+    /// A body of nested `[` under the size cap is a parse error, not a
+    /// stack overflow that takes the daemon down.
+    #[test]
+    fn deeply_nested_body_is_rejected_and_the_daemon_survives() {
+        let server = SweepServer::bind("127.0.0.1:0", 1).unwrap();
+        let body = "[".repeat(500_000);
+        let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+        write!(
+            conn,
+            "POST /sweep HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .unwrap();
+        let mut response = String::new();
+        conn.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+        let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+        write!(conn, "GET /status HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        let mut response = String::new();
+        conn.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+    }
+
     #[test]
     fn unknown_path_is_404() {
         let server = SweepServer::bind("127.0.0.1:0", 1).unwrap();

@@ -281,15 +281,18 @@ impl SweepSpec {
             ),
         };
         let mode = match doc.get("mode").map(|v| v.as_str()) {
-            None | Some(Some("fused")) => ExecutionMode::Fused,
+            // `batched` is the retired spelling of the single-threaded
+            // round that saved specs still send. The canonical form
+            // writes `fused`, so a manifest hashed from such a spec is
+            // refused rather than resumed onto the new stream.
+            None | Some(Some("fused" | "batched")) => ExecutionMode::Fused,
             Some(Some("auto")) => ExecutionMode::Auto,
-            Some(Some("batched")) => ExecutionMode::Batched,
             Some(Some("fused-parallel")) => ExecutionMode::FusedParallel {
                 threads: threads.unwrap_or(1),
             },
             Some(Some(other)) => {
                 return Err(SweepError::spec(format!(
-                    "unknown `mode` `{other}` (auto, batched, fused, fused-parallel)"
+                    "unknown `mode` `{other}` (auto, fused, fused-parallel)"
                 )));
             }
             Some(None) => return Err(SweepError::spec("`mode` must be a string")),
@@ -453,15 +456,6 @@ impl SweepSpec {
                 "graph sweeps sample neighbors literally; omit `fidelity` or set `\"agent\"`",
             ));
         }
-        if self.fidelity == Fidelity::Agent
-            && self.topology.is_none()
-            && self.mode != ExecutionMode::Batched
-        {
-            return Err(SweepError::spec(
-                "the literal agent fidelity on the complete graph runs batched only; \
-                 set `\"mode\": \"batched\"`",
-            ));
-        }
         // Dry-build episode 0: protocol-name resolution, ℓ bounds,
         // without-replacement oversampling, graph construction, mode
         // compatibility — all the facade's build checks.
@@ -532,7 +526,6 @@ impl SweepSpec {
         ));
         let mode_name = match self.mode {
             ExecutionMode::Auto => "auto",
-            ExecutionMode::Batched => "batched",
             ExecutionMode::Fused => "fused",
             ExecutionMode::FusedParallel { .. } => "fused-parallel",
         };
@@ -1076,7 +1069,6 @@ mod tests {
             r#"{"n": [100], "threads": 4}"#,
             r#"{"n": [100], "protocol": "nonsense"}"#,
             r#"{"n": [100], "fidelity": "aggregate"}"#,
-            r#"{"n": [100], "fidelity": "agent"}"#,
             r#"{"n": [20], "ell": [32], "fidelity": "without-replacement"}"#,
         ] {
             assert!(SweepSpec::parse(bad).is_err(), "`{bad}` should be rejected");
@@ -1084,9 +1076,21 @@ mod tests {
     }
 
     #[test]
-    fn agent_fidelity_requires_batched_mode() {
-        let spec = SweepSpec::parse(r#"{"n": [100], "fidelity": "agent", "mode": "batched"}"#);
-        assert!(spec.is_ok(), "{spec:?}");
+    fn agent_fidelity_builds_under_the_default_mode() {
+        let spec = SweepSpec::parse(r#"{"n": [100], "fidelity": "agent"}"#).unwrap();
+        assert_eq!(spec.mode, ExecutionMode::Fused);
+        let record = spec
+            .run_episode(0, &crate::cache::WarmCache::new())
+            .unwrap();
+        assert!(record.report.converged(), "{record:?}");
+    }
+
+    #[test]
+    fn batched_mode_is_a_retired_spelling_of_fused() {
+        let old = SweepSpec::parse(r#"{"n": [100], "mode": "batched"}"#).unwrap();
+        let new = SweepSpec::parse(r#"{"n": [100], "mode": "fused"}"#).unwrap();
+        assert_eq!(old, new);
+        assert_eq!(old.hash(), new.hash(), "the canonical form writes `fused`");
     }
 
     #[test]

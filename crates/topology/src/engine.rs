@@ -4,15 +4,12 @@
 //! an agent at vertex `v` samples (with replacement) from `neighbors(v)`
 //! instead of the whole population. The round mechanics live in `fet-sim`
 //! and are selected by `fet_sim::engine::ExecutionMode` exactly as on the
-//! complete graph: by default (`Auto`) a graph round executes as a
-//! **fused single pass** — each agent's observation is drawn on demand
-//! from its neighbors' round-start opinions (a persistent double buffer —
-//! ~1 byte/agent on the typed representation this engine uses, 1
-//! bit/agent when the `Simulation` facade resolves bit-plane storage),
-//! the update applied, the output written in place — and
-//! the buffered batched pipeline remains available via
-//! [`TopologyEngine::set_execution_mode`] (or `--mode batched`) as the
-//! A/B reference. Work-sharded parallel graph rounds
+//! complete graph: a graph round executes as a **fused single pass** —
+//! each agent's observation is drawn on demand from its neighbors'
+//! round-start opinions (a persistent double buffer — ~1 byte/agent on
+//! the typed representation this engine uses, 1 bit/agent when the
+//! `Simulation` facade resolves bit-plane storage), the update applied,
+//! the output written in place. Work-sharded parallel graph rounds
 //! (`ExecutionMode::FusedParallel`) split the vertex range into
 //! contiguous shards over the `Arc`-shared adjacency. This type only adds
 //! the graph-typed construction, accessors, and `TopologyError`
@@ -135,9 +132,8 @@ impl<P: Protocol + std::fmt::Debug + Send + Sync> TopologyEngine<P> {
     }
 
     /// Bytes of auxiliary round buffers currently allocated (see
-    /// [`Engine::round_scratch_bytes`]): graph-fused rounds keep exactly
-    /// the persistent ~1 byte/agent opinion double buffer, batched graph
-    /// rounds add the observation/output scratch on top.
+    /// [`Engine::round_scratch_bytes`]): graph rounds keep exactly the
+    /// persistent ~1 byte/agent opinion double buffer.
     pub fn round_scratch_bytes(&self) -> usize {
         self.inner.round_scratch_bytes()
     }

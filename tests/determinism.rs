@@ -38,6 +38,7 @@ const SHARD_COUNTS: [u32; 5] = [1, 2, 3, 4, 7];
 fn cases() -> Vec<(&'static str, Fidelity, FaultPlan)> {
     vec![
         ("binomial", Fidelity::Binomial, FaultPlan::none()),
+        ("agent", Fidelity::Agent, FaultPlan::none()),
         (
             "without-replacement",
             Fidelity::WithoutReplacement,

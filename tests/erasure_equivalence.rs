@@ -5,7 +5,8 @@
 //!    (`Simulation::builder().protocol_name(..)`), and the **bit-plane**
 //!    facade path (`.storage(Storage::BitPlane)`) replay **identical**
 //!    trajectories for the same seed — representation (erasure *and*
-//!    packing) never touches the random stream.
+//!    packing) never touches the random stream, at the binomial and the
+//!    literal agent fidelity alike.
 //! 2. A registry-name facade run performs **zero per-round state clones**
 //!    (the defining property of the contiguous population container, vs.
 //!    the two-clones-per-agent-per-round of the boxed route).
@@ -64,20 +65,14 @@ const MAX_ROUNDS: u64 = 400;
 const WINDOW: u64 = 3;
 
 /// Runs the typed engine exactly as the facade would configure it.
-fn typed_trajectory<P>(protocol: P) -> (ConvergenceReport, Vec<f64>)
+fn typed_trajectory<P>(protocol: P, fidelity: Fidelity) -> (ConvergenceReport, Vec<f64>)
 where
     P: Protocol + Clone + std::fmt::Debug + Send + Sync + 'static,
     P::State: 'static,
 {
     let spec = ProblemSpec::single_source(N, Opinion::One).unwrap();
-    let mut engine = Engine::new(
-        protocol,
-        spec,
-        Fidelity::Binomial,
-        InitialCondition::AllWrong,
-        SEED,
-    )
-    .unwrap();
+    let mut engine =
+        Engine::new(protocol, spec, fidelity, InitialCondition::AllWrong, SEED).unwrap();
     let mut rec = TrajectoryRecorder::new();
     let report = engine.run(MAX_ROUNDS, ConvergenceCriterion::new(WINDOW), &mut rec);
     (report, rec.into_fractions())
@@ -85,10 +80,15 @@ where
 
 /// Runs the facade (population-erased) path by registry name, on the
 /// requested storage representation.
-fn facade_trajectory_on(name: &str, storage: Storage) -> (ConvergenceReport, Vec<f64>) {
+fn facade_trajectory_on(
+    name: &str,
+    fidelity: Fidelity,
+    storage: Storage,
+) -> (ConvergenceReport, Vec<f64>) {
     let run = Simulation::builder()
         .population(N)
         .protocol_name(name)
+        .fidelity(fidelity)
         .seed(SEED)
         .max_rounds(MAX_ROUNDS)
         .stability_window(WINDOW)
@@ -101,51 +101,50 @@ fn facade_trajectory_on(name: &str, storage: Storage) -> (ConvergenceReport, Vec
     (run.report, run.trajectory.expect("recording requested"))
 }
 
-fn facade_trajectory(name: &str) -> (ConvergenceReport, Vec<f64>) {
-    facade_trajectory_on(name, Storage::Typed)
-}
-
-/// Runs the legacy per-agent boxed route directly.
-fn boxed_trajectory(erased: ErasedProtocol) -> (ConvergenceReport, Vec<f64>) {
-    let spec = ProblemSpec::single_source(N, Opinion::One).unwrap();
-    let mut engine = Engine::new(
-        erased,
-        spec,
-        Fidelity::Binomial,
-        InitialCondition::AllWrong,
-        SEED,
-    )
-    .unwrap();
-    let mut rec = TrajectoryRecorder::new();
-    let report = engine.run(MAX_ROUNDS, ConvergenceCriterion::new(WINDOW), &mut rec);
-    (report, rec.into_fractions())
-}
-
 #[test]
 fn fet_four_paths_identical_trajectories() {
     let ell = ell_for_population(N, 4.0);
-    let typed = typed_trajectory(FetProtocol::new(ell).unwrap());
-    let boxed = boxed_trajectory(ErasedProtocol::new(FetProtocol::new(ell).unwrap()));
-    let facade = facade_trajectory("fet");
-    let bits = facade_trajectory_on("fet", Storage::BitPlane);
-    assert_eq!(typed, boxed, "typed vs per-agent erased diverged");
-    assert_eq!(typed, facade, "typed vs population-erased diverged");
-    assert_eq!(typed, bits, "typed vs bit-plane diverged");
-    assert!(typed.0.converged(), "{:?}", typed.0);
+    for fidelity in [Fidelity::Binomial, Fidelity::Agent] {
+        let typed = typed_trajectory(FetProtocol::new(ell).unwrap(), fidelity);
+        let boxed = typed_trajectory(
+            ErasedProtocol::new(FetProtocol::new(ell).unwrap()),
+            fidelity,
+        );
+        let facade = facade_trajectory_on("fet", fidelity, Storage::Typed);
+        let bits = facade_trajectory_on("fet", fidelity, Storage::BitPlane);
+        assert_eq!(
+            typed, boxed,
+            "{fidelity:?}: typed vs per-agent erased diverged"
+        );
+        assert_eq!(
+            typed, facade,
+            "{fidelity:?}: typed vs population-erased diverged"
+        );
+        assert_eq!(typed, bits, "{fidelity:?}: typed vs bit-plane diverged");
+        assert!(typed.0.converged(), "{fidelity:?}: {:?}", typed.0);
+    }
 }
 
 #[test]
 fn three_majority_four_paths_identical_trajectories() {
-    let typed = typed_trajectory(ThreeMajorityProtocol::new());
-    let boxed = boxed_trajectory(ErasedProtocol::new(ThreeMajorityProtocol::new()));
-    let facade = facade_trajectory("3-majority");
-    let bits = facade_trajectory_on("3-majority", Storage::BitPlane);
-    assert_eq!(typed, boxed, "typed vs per-agent erased diverged");
-    assert_eq!(typed, facade, "typed vs population-erased diverged");
-    assert_eq!(typed, bits, "typed vs bit-plane diverged");
-    // 3-majority has no stubborn-source guarantee; we only require the
-    // four paths to walk the same trajectory, converged or not.
-    assert_eq!(typed.1.len(), facade.1.len());
+    for fidelity in [Fidelity::Binomial, Fidelity::Agent] {
+        let typed = typed_trajectory(ThreeMajorityProtocol::new(), fidelity);
+        let boxed = typed_trajectory(ErasedProtocol::new(ThreeMajorityProtocol::new()), fidelity);
+        let facade = facade_trajectory_on("3-majority", fidelity, Storage::Typed);
+        let bits = facade_trajectory_on("3-majority", fidelity, Storage::BitPlane);
+        assert_eq!(
+            typed, boxed,
+            "{fidelity:?}: typed vs per-agent erased diverged"
+        );
+        assert_eq!(
+            typed, facade,
+            "{fidelity:?}: typed vs population-erased diverged"
+        );
+        assert_eq!(typed, bits, "{fidelity:?}: typed vs bit-plane diverged");
+        // 3-majority has no stubborn-source guarantee; we only require the
+        // four paths to walk the same trajectory, converged or not.
+        assert_eq!(typed.1.len(), facade.1.len());
+    }
 }
 
 /// Bit-plane rounds must not out-allocate typed rounds: the planes are

@@ -6,14 +6,13 @@
 //!    `Engine<P>`, the legacy boxed route (`Engine<ErasedProtocol>`), the
 //!    facade's population-erased path, and the facade's **bit-plane**
 //!    path (`.storage(Storage::BitPlane)`) replay **identical**
-//!    trajectories, and none of them allocates per-round
-//!    snapshot/observation/output buffers.
+//!    trajectories, at the binomial and the literal agent fidelity alike,
+//!    and no mean-field run allocates a per-round snapshot.
 //! 2. **Statistical equivalence with the single-threaded fused path** —
 //!    every shard draws from the same round-start mean-field samplers, so
 //!    re-keying the RNG per shard changes the stream but not the law:
 //!    convergence times (FET) and trajectory marginals (3-majority) must
-//!    agree across seeds at both mean-field fidelities, and against the
-//!    batched pipeline by transitivity with `tests/fused_equivalence.rs`.
+//!    agree across seeds at both mean-field fidelities.
 //!
 //! Worker-count invariance per shard count is enforced at the kernel
 //! level in `fet-core` and across processes by the CI determinism job
@@ -36,7 +35,7 @@ const WINDOW: u64 = 3;
 const THREADS: u32 = 3;
 
 /// Runs a typed engine in the given mode, recording the trajectory and
-/// asserting the parallel path's zero-scratch guarantee.
+/// asserting the mean-field zero-scratch guarantee.
 fn typed_trajectory<P>(
     protocol: P,
     mode: ExecutionMode,
@@ -52,11 +51,11 @@ where
     engine.set_execution_mode(mode).unwrap();
     let mut rec = TrajectoryRecorder::new();
     let report = engine.run(MAX_ROUNDS, ConvergenceCriterion::new(WINDOW), &mut rec);
-    if matches!(mode, ExecutionMode::FusedParallel { .. }) {
+    if fidelity != Fidelity::Agent {
         assert_eq!(
             engine.round_scratch_bytes(),
             0,
-            "parallel fused rounds must not allocate snapshot/obs/out buffers"
+            "mean-field rounds must not allocate a snapshot"
         );
     }
     (report, rec.into_fractions())
@@ -67,11 +66,13 @@ where
 fn facade_trajectory_on(
     name: &str,
     mode: ExecutionMode,
+    fidelity: Fidelity,
     storage: Storage,
 ) -> (ConvergenceReport, Vec<f64>) {
     let run = Simulation::builder()
         .population(N)
         .protocol_name(name)
+        .fidelity(fidelity)
         .seed(SEED)
         .max_rounds(MAX_ROUNDS)
         .stability_window(WINDOW)
@@ -86,52 +87,58 @@ fn facade_trajectory_on(
     (run.report, run.trajectory.expect("recording requested"))
 }
 
-fn facade_trajectory(name: &str, mode: ExecutionMode) -> (ConvergenceReport, Vec<f64>) {
-    facade_trajectory_on(name, mode, Storage::Typed)
-}
-
 #[test]
 fn fet_parallel_four_paths_identical_trajectories() {
     let ell = ell_for_population(N, 4.0);
     let mode = ExecutionMode::FusedParallel { threads: THREADS };
-    let typed = typed_trajectory(FetProtocol::new(ell).unwrap(), mode, Fidelity::Binomial);
-    let boxed = typed_trajectory(
-        ErasedProtocol::new(FetProtocol::new(ell).unwrap()),
-        mode,
-        Fidelity::Binomial,
-    );
-    let facade = facade_trajectory("fet", mode);
-    let bits = facade_trajectory_on("fet", mode, Storage::BitPlane);
-    assert_eq!(typed, boxed, "typed vs per-agent erased parallel diverged");
-    assert_eq!(
-        typed, facade,
-        "typed vs population-erased parallel diverged"
-    );
-    assert_eq!(typed, bits, "typed vs bit-plane parallel diverged");
-    assert!(typed.0.converged(), "{:?}", typed.0);
-    // And the whole thing replays: same (seed, threads) ⇒ same stream.
-    let again = typed_trajectory(FetProtocol::new(ell).unwrap(), mode, Fidelity::Binomial);
-    assert_eq!(typed, again);
+    for fidelity in [Fidelity::Binomial, Fidelity::Agent] {
+        let typed = typed_trajectory(FetProtocol::new(ell).unwrap(), mode, fidelity);
+        let boxed = typed_trajectory(
+            ErasedProtocol::new(FetProtocol::new(ell).unwrap()),
+            mode,
+            fidelity,
+        );
+        let facade = facade_trajectory_on("fet", mode, fidelity, Storage::Typed);
+        let bits = facade_trajectory_on("fet", mode, fidelity, Storage::BitPlane);
+        assert_eq!(
+            typed, boxed,
+            "{fidelity:?}: typed vs per-agent erased diverged"
+        );
+        assert_eq!(
+            typed, facade,
+            "{fidelity:?}: typed vs population-erased diverged"
+        );
+        assert_eq!(typed, bits, "{fidelity:?}: typed vs bit-plane diverged");
+        assert!(typed.0.converged(), "{fidelity:?}: {:?}", typed.0);
+        // And the whole thing replays: same (seed, threads) ⇒ same stream.
+        let again = typed_trajectory(FetProtocol::new(ell).unwrap(), mode, fidelity);
+        assert_eq!(typed, again);
+    }
 }
 
 #[test]
 fn three_majority_parallel_four_paths_identical_trajectories() {
     let mode = ExecutionMode::FusedParallel { threads: THREADS };
-    let typed = typed_trajectory(ThreeMajorityProtocol::new(), mode, Fidelity::Binomial);
-    let boxed = typed_trajectory(
-        ErasedProtocol::new(ThreeMajorityProtocol::new()),
-        mode,
-        Fidelity::Binomial,
-    );
-    let facade = facade_trajectory("3-majority", mode);
-    let bits = facade_trajectory_on("3-majority", mode, Storage::BitPlane);
-    assert_eq!(typed, boxed, "typed vs per-agent erased parallel diverged");
-    assert_eq!(
-        typed, facade,
-        "typed vs population-erased parallel diverged"
-    );
-    assert_eq!(typed, bits, "typed vs bit-plane parallel diverged");
-    assert_eq!(typed.1.len(), facade.1.len());
+    for fidelity in [Fidelity::Binomial, Fidelity::Agent] {
+        let typed = typed_trajectory(ThreeMajorityProtocol::new(), mode, fidelity);
+        let boxed = typed_trajectory(
+            ErasedProtocol::new(ThreeMajorityProtocol::new()),
+            mode,
+            fidelity,
+        );
+        let facade = facade_trajectory_on("3-majority", mode, fidelity, Storage::Typed);
+        let bits = facade_trajectory_on("3-majority", mode, fidelity, Storage::BitPlane);
+        assert_eq!(
+            typed, boxed,
+            "{fidelity:?}: typed vs per-agent erased diverged"
+        );
+        assert_eq!(
+            typed, facade,
+            "{fidelity:?}: typed vs population-erased diverged"
+        );
+        assert_eq!(typed, bits, "{fidelity:?}: typed vs bit-plane diverged");
+        assert_eq!(typed.1.len(), facade.1.len());
+    }
 }
 
 /// The single-threaded fused stream must be untouched by the parallel

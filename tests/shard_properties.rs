@@ -202,7 +202,7 @@ proptest! {
             .map(|v| if v % 3 == 0 { Opinion::One } else { Opinion::Zero })
             .collect();
         let factory = fet_sim::sources::GraphSourceFactory::new(
-            &graph,
+            fet_sim::sources::Adjacency::Graph(&graph),
             &snapshot,
             None,
             m,
