@@ -39,7 +39,7 @@ use fet_plot::table::Table;
 use fet_protocols::registry::{ProtocolParams, ProtocolRegistry};
 use fet_sim::aggregate::AggregateFetChain;
 use fet_sim::convergence::ConvergenceCriterion;
-use fet_sim::engine::{ExecutionMode, Fidelity};
+use fet_sim::engine::{ExecutionMode, Fidelity, FUSED_PARALLEL_AUTO_SHARDS};
 use fet_sim::init::InitialCondition;
 use fet_sim::simulation::{Scheduler, Simulation, SimulationBuilder, Storage};
 use fet_stats::compare::CoinCompetition;
@@ -133,8 +133,10 @@ common flags: --n N  --protocol NAME  --ell L  --c C  --seed S  --delta D
               --fidelity agent|binomial|without-replacement|aggregate
               --scheduler sync|async  --agent-level (= --fidelity agent)
               --mode fused|fused-parallel (single-threaded or sharded rounds; default: auto-select,
-                     sharded from n = 2*10^6 on multi-core hosts; every fidelity and `topology`)
-              --threads N (shard/worker count for --mode fused-parallel; default: all cores)
+                     8 shards once a round draws 2*10^6 samples -- n mean-field, n*m on graphs
+                     and --fidelity agent -- on every host)
+              --threads N (shard count for --mode fused-parallel, which keys the stream; default 8;
+                     the shards run on min(cores, N) workers)
               --storage auto|typed|bit-plane (state representation; bit-plane packs opinions
                      64/word for packable protocols on synchronous runs — same trajectory,
                      ~8x less state; auto switches at n >= 10^7)
@@ -209,9 +211,9 @@ fn get_mode(flags: &Flags) -> Result<ExecutionMode, String> {
         None | Some("auto") => ExecutionMode::Auto,
         Some("fused") => ExecutionMode::Fused,
         Some("fused-parallel") => {
-            // Default thread count: every core the host offers.
-            let default = std::thread::available_parallelism().map_or(1, |p| p.get() as u32);
-            let threads: u32 = get(flags, "threads", default)?;
+            // Default shard count: Auto's, never the host's core count —
+            // the shard count keys the stream.
+            let threads: u32 = get(flags, "threads", FUSED_PARALLEL_AUTO_SHARDS)?;
             if threads == 0 {
                 return Err("--threads must be at least 1".into());
             }
@@ -281,12 +283,13 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let report = sim.run();
     println!(
-        "n = {n}, protocol = {}, samples/round = {}, init = {}, mode = {}, storage = {} \
+        "n = {n}, protocol = {}, samples/round = {}, init = {}, mode = {} (ran {}), storage = {} \
          ({} state bytes), seed = {}",
         report.protocol,
         report.samples_per_round,
         init.label(),
         report.mode,
+        report.resolved_mode,
         report.storage,
         report.resident_bytes,
         get::<u64>(flags, "seed", 0)?
@@ -560,6 +563,7 @@ fn cmd_topology(flags: &Flags) -> Result<(), String> {
         .build()
         .map_err(|e| e.to_string())?;
     let report = sim.run();
+    println!("mode = {} (ran {})", report.mode, report.resolved_mode);
     match report.converged_at() {
         Some(t) => println!("protocol {} converged at round {t}", report.protocol),
         None => println!(
@@ -826,11 +830,11 @@ mod tests {
             get_mode(&flags_of(&["--mode", "fused-parallel", "--threads", "4"]).unwrap()).unwrap(),
             ExecutionMode::FusedParallel { threads: 4 }
         );
-        // Defaults to the host's core count — at least one thread.
-        assert!(matches!(
+        // Defaults to Auto's fixed shard count, whatever the host.
+        assert_eq!(
             get_mode(&flags_of(&["--mode", "fused-parallel"]).unwrap()).unwrap(),
-            ExecutionMode::FusedParallel { threads } if threads >= 1
-        ));
+            ExecutionMode::FusedParallel { threads: 8 }
+        );
         assert!(
             get_mode(&flags_of(&["--mode", "fused-parallel", "--threads", "0"]).unwrap()).is_err()
         );

@@ -88,7 +88,7 @@ use crate::observation::Observation;
 use crate::opinion::Opinion;
 use crate::population::{DynPopulation, Population};
 use crate::protocol::{FusedCounters, ObservationSource, Protocol, RoundContext, StatePlanes};
-use crate::shard::{ShardPlan, ShardSourceFactory};
+use crate::shard::{run_shards, ShardPlan, ShardSourceFactory};
 use rand::RngCore;
 use std::fmt;
 
@@ -838,9 +838,8 @@ impl<P: Protocol> BitPopulation<P> {
         self.aux.set(idx, aux);
     }
 
-    /// One shard's job for the parallel rounds: shard index, agent
-    /// range, opinion word slice, aux plane view, and (outputs path
-    /// only) the output slice.
+    /// The parallel rounds, with (outputs path) or without (in-place
+    /// path) a byte output slice to fill.
     fn run_parallel<'a>(
         &'a mut self,
         factory: &dyn ShardSourceFactory,
@@ -852,108 +851,45 @@ impl<P: Protocol> BitPopulation<P> {
     where
         P: Sync,
     {
-        type ShardJob<'b> = (
-            u32,
-            std::ops::Range<usize>,
-            &'b mut [u64],
-            AuxSliceMut<'b>,
-            Option<&'b mut [Opinion]>,
-        );
         let n = self.opinions.len();
         if let Some(out) = outputs.as_deref() {
             assert_eq!(out.len(), n, "one output slot per agent");
         }
-        let shards = plan.shards();
         // Carve the planes into per-shard slices once. The plan's ranges
         // start on 64-agent boundaries (see `ShardPlan::shard_range`),
         // which is a whole-word boundary for every plane width — opinion
         // words, aux bytes, and interleaved slice groups alike — so
         // the splits below land exactly between shards and the slices
         // are disjoint, which is what lets them run concurrently.
-        let mut jobs: Vec<ShardJob<'_>> = Vec::with_capacity(shards as usize);
+        let mut jobs = Vec::with_capacity(plan.shards() as usize);
         let mut words_rest = self.opinions.words_mut();
         let mut aux_rest = self.aux.slice_mut();
-        let mut outputs_rest = outputs.take();
-        for s in 0..shards {
-            let range = plan.shard_range(n, s);
-            if range.is_empty() {
-                continue;
-            }
+        for (s, range) in plan.ranges(n) {
             debug_assert!(
                 range.start.is_multiple_of(WORD_BITS),
                 "shard range {range:?} splits a word"
             );
             let word_count = range.end.div_ceil(WORD_BITS) - range.start / WORD_BITS;
-            let (w, w_rest) = words_rest.split_at_mut(word_count);
-            words_rest = w_rest;
-            let (aux_slice, a_rest) = aux_rest.split_for_agents(range.len());
-            aux_rest = a_rest;
-            let out_slice = outputs_rest.take().map(|o| {
+            let (words, rest) = words_rest.split_at_mut(word_count);
+            words_rest = rest;
+            let (aux, rest) = aux_rest.split_for_agents(range.len());
+            aux_rest = rest;
+            let out = outputs.take().map(|o| {
                 let (head, tail) = o.split_at_mut(range.len());
-                outputs_rest = Some(tail);
+                outputs = Some(tail);
                 head
             });
-            jobs.push((s, range, w, aux_slice, out_slice));
+            jobs.push((s, range.clone(), (words, aux, range.len(), out)));
         }
         let protocol = &self.protocol;
-        let run_shard = |(s, range, words, aux, out): ShardJob<'_>| {
-            let mut rng = plan.rng_for_shard(s);
-            let mut source = factory.shard_source(range.clone());
-            step_packed_slice(
-                protocol,
-                words,
-                aux,
-                range.len(),
-                source.as_mut(),
-                ctx,
-                &mut rng,
-                correct,
-                out,
-            )
-        };
-        // Reduce per-shard counters into fixed slots in shard order —
-        // exactly the discipline `TypedPopulation::step_fused_parallel`
-        // documents, so totals never depend on worker scheduling.
-        let workers = (plan.workers() as usize).min(jobs.len());
-        let mut totals = FusedCounters::default();
-        if workers <= 1 {
-            for job in jobs {
-                totals += run_shard(job);
-            }
-        } else {
-            let mut groups: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
-            for (i, job) in jobs.into_iter().enumerate() {
-                groups[i % workers].push(job);
-            }
-            let run_shard = &run_shard;
-            let per_shard = std::thread::scope(|scope| {
-                let handles: Vec<_> = groups
-                    .into_iter()
-                    .map(|group| {
-                        scope.spawn(move || {
-                            group
-                                .into_iter()
-                                .map(|job| {
-                                    let s = job.0;
-                                    (s, run_shard(job))
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                let mut per_shard = vec![FusedCounters::default(); shards as usize];
-                for handle in handles {
-                    for (s, c) in handle.join().expect("shard worker panicked") {
-                        per_shard[s as usize] = c;
-                    }
-                }
-                per_shard
-            });
-            for c in per_shard {
-                totals += c;
-            }
-        }
-        totals
+        run_shards(
+            plan,
+            factory,
+            jobs,
+            |(words, aux, len, out), source, rng| {
+                step_packed_slice(protocol, words, aux, len, source, ctx, rng, correct, out)
+            },
+        )
     }
 }
 

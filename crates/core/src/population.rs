@@ -72,7 +72,7 @@ use crate::memory::MemoryFootprint;
 use crate::observation::Observation;
 use crate::opinion::Opinion;
 use crate::protocol::{FusedCounters, ObservationSource, Protocol, RoundContext};
-use crate::shard::{ShardPlan, ShardSourceFactory};
+use crate::shard::{run_shards, ShardPlan, ShardSourceFactory};
 use rand::RngCore;
 use std::fmt;
 
@@ -454,88 +454,27 @@ where
         correct: Opinion,
         outputs: &mut [Opinion],
     ) -> FusedCounters {
-        /// One shard's work item: its index, its agent range (so the
-        /// factory can build a range-aligned source), and its disjoint
-        /// state and output slices.
-        type ShardJob<'a, S> = (u32, std::ops::Range<usize>, &'a mut [S], &'a mut [Opinion]);
         let n = self.states.len();
         assert_eq!(outputs.len(), n, "one output slot per agent");
-        let shards = plan.shards();
         // Carve the state and output buffers into per-shard slices once;
         // disjointness is what lets the shards run concurrently without
         // any synchronization on the hot path.
-        let mut jobs: Vec<ShardJob<'_, P::State>> = Vec::with_capacity(shards as usize);
         let mut states_rest = &mut self.states[..];
         let mut outputs_rest = outputs;
-        for s in 0..shards {
-            let range = plan.shard_range(n, s);
-            let (st, st_rest) = states_rest.split_at_mut(range.len());
-            let (out, out_rest) = outputs_rest.split_at_mut(range.len());
-            states_rest = st_rest;
-            outputs_rest = out_rest;
-            if !st.is_empty() {
-                jobs.push((s, range, st, out));
-            }
-        }
+        let jobs: Vec<_> = plan
+            .ranges(n)
+            .map(|(s, range)| {
+                let (st, rest) = std::mem::take(&mut states_rest).split_at_mut(range.len());
+                states_rest = rest;
+                let (out, rest) = std::mem::take(&mut outputs_rest).split_at_mut(range.len());
+                outputs_rest = rest;
+                (s, range, (st, out))
+            })
+            .collect();
         let protocol = &self.protocol;
-        let run_shard = |(s, range, st, out): (
-            u32,
-            std::ops::Range<usize>,
-            &mut [P::State],
-            &mut [Opinion],
-        )| {
-            let mut rng = plan.rng_for_shard(s);
-            let mut source = factory.shard_source(range);
-            protocol.step_fused(st, source.as_mut(), ctx, &mut rng, correct, out)
-        };
-        // Per-shard counters are accumulated into fixed slots and reduced
-        // in shard order, so the totals cannot depend on which worker
-        // finished first (u64 sums are order-free anyway; the slots keep
-        // the reduction obviously deterministic).
-        let workers = (plan.workers() as usize).min(jobs.len());
-        let mut totals = FusedCounters::default();
-        if workers <= 1 {
-            for job in jobs {
-                totals += run_shard(job);
-            }
-        } else {
-            // Round-robin shard-to-worker striping; any assignment yields
-            // identical results (see the determinism contract), and the
-            // striping balances the remainder-carrying early shards
-            // across workers.
-            let mut groups: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
-            for (i, job) in jobs.into_iter().enumerate() {
-                groups[i % workers].push(job);
-            }
-            let run_shard = &run_shard;
-            let per_shard = std::thread::scope(|scope| {
-                let handles: Vec<_> = groups
-                    .into_iter()
-                    .map(|group| {
-                        scope.spawn(move || {
-                            group
-                                .into_iter()
-                                .map(|job| {
-                                    let s = job.0;
-                                    (s, run_shard(job))
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                let mut per_shard = vec![FusedCounters::default(); shards as usize];
-                for handle in handles {
-                    for (s, c) in handle.join().expect("shard worker panicked") {
-                        per_shard[s as usize] = c;
-                    }
-                }
-                per_shard
-            });
-            for c in per_shard {
-                totals += c;
-            }
-        }
-        totals
+        run_shards(plan, factory, jobs, |(st, out), source, rng| {
+            protocol.step_fused(st, source, ctx, rng, correct, out)
+        })
     }
 
     fn step_agent(

@@ -27,12 +27,14 @@
 //! [`ShardPlan`] carries the partition (shard count, balanced contiguous
 //! ranges) and the per-round stream base; [`ShardSourceFactory`] lets an
 //! engine hand each shard a private observation source without any
-//! observation buffer existing. Both are consumed by
-//! [`Population::step_fused_parallel`](crate::population::Population::step_fused_parallel).
+//! observation buffer existing. [`run_shards`] executes one round's
+//! shards on the plan's workers; every container's
+//! [`Population::step_fused_parallel`](crate::population::Population::step_fused_parallel)
+//! carves its buffers into per-shard jobs and hands them to it.
 //!
 //! [`Protocol::step_fused`]: crate::protocol::Protocol::step_fused
 
-use crate::protocol::ObservationSource;
+use crate::protocol::{FusedCounters, ObservationSource};
 use fet_stats::rng::{counter_split, counter_stream_base};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -155,6 +157,80 @@ impl ShardPlan {
         let end = ((start_w + len_w) * WORD).min(n);
         start..end
     }
+
+    /// The non-empty shard ranges of an `n`-agent population, in shard
+    /// order (empty trailing shards are skipped).
+    pub fn ranges(&self, n: usize) -> impl Iterator<Item = (u32, Range<usize>)> + '_ {
+        (0..self.shards)
+            .map(move |s| (s, self.shard_range(n, s)))
+            .filter(|(_, range)| !range.is_empty())
+    }
+}
+
+/// One shard's work item for [`run_shards`]: the shard index, its agent
+/// range, and the container's disjoint slices for that range.
+pub type ShardJob<J> = (u32, Range<usize>, J);
+
+/// Runs one parallel round's shard jobs and reduces their counters.
+///
+/// Every job gets its shard's RNG ([`ShardPlan::rng_for_shard`]) and a
+/// range-aligned source from `factory`, and `kernel` steps the job's
+/// slices on them. Jobs are striped round-robin over
+/// `min(plan.workers(), jobs)` worker groups, which balances the
+/// remainder-carrying early shards; the first group runs on the calling
+/// thread, so only `workers − 1` scoped threads are spawned. Per-shard
+/// counters land in fixed slots and reduce in shard order, so neither the
+/// worker count nor which worker finished first can reach the totals.
+///
+/// # Panics
+///
+/// Propagates a panic from any shard.
+pub fn run_shards<J, K>(
+    plan: &ShardPlan,
+    factory: &dyn ShardSourceFactory,
+    jobs: Vec<ShardJob<J>>,
+    kernel: K,
+) -> FusedCounters
+where
+    J: Send,
+    K: Fn(J, &mut dyn ObservationSource, &mut SmallRng) -> FusedCounters + Sync,
+{
+    let run_group = |group: Vec<ShardJob<J>>| -> Vec<(u32, FusedCounters)> {
+        group
+            .into_iter()
+            .map(|(s, range, job)| {
+                let mut rng = plan.rng_for_shard(s);
+                let mut source = factory.shard_source(range);
+                (s, kernel(job, source.as_mut(), &mut rng))
+            })
+            .collect()
+    };
+    let workers = (plan.workers() as usize).clamp(1, jobs.len().max(1));
+    let mut groups: Vec<Vec<ShardJob<J>>> = (0..workers).map(|_| Vec::new()).collect();
+    for (i, job) in jobs.into_iter().enumerate() {
+        groups[i % workers].push(job);
+    }
+    let mut groups = groups.into_iter();
+    let local = groups.next().unwrap_or_default();
+    let mut per_shard = vec![FusedCounters::default(); plan.shards() as usize];
+    std::thread::scope(|scope| {
+        let run_group = &run_group;
+        let handles: Vec<_> = groups
+            .map(|group| scope.spawn(move || run_group(group)))
+            .collect();
+        let mut done = run_group(local);
+        for handle in handles {
+            done.extend(handle.join().expect("shard worker panicked"));
+        }
+        for (s, counters) in done {
+            per_shard[s as usize] = counters;
+        }
+    });
+    let mut totals = FusedCounters::default();
+    for counters in per_shard {
+        totals += counters;
+    }
+    totals
 }
 
 #[cfg(test)]

@@ -58,10 +58,12 @@
 //! against the *round-start* state with an independent RNG stream derived
 //! by a counter-based split of `(seed, round, shard index)` (see
 //! [`fet_core::shard`]), and the per-shard counters reduce into the round
-//! totals. [`ExecutionMode::Auto`] (the default) shards above
-//! [`FUSED_PARALLEL_AUTO_MIN_N`] agents when the host has more than one
-//! core. Sleepy-fault rounds run the same sources through a per-agent loop
-//! instead (a sleeping agent must skip its update entirely).
+//! totals. [`ExecutionMode::Auto`] (the default) runs
+//! [`FUSED_PARALLEL_AUTO_SHARDS`] shards once a round's sampler draws
+//! clear [`FUSED_PARALLEL_AUTO_MIN_DRAWS`] — a rule of the configuration
+//! alone, never of the host. Sleepy-fault rounds run the same sources
+//! through a per-agent loop instead (a sleeping agent must skip its update
+//! entirely).
 //!
 //! **Stream caveat:** the parallel path re-keys the draws per shard, so
 //! the single-threaded and sharded rounds are *distinct deterministic
@@ -70,8 +72,9 @@
 //! population representations — and a parallel run replays bit-for-bit
 //! for a fixed `(seed, thread count)` regardless of how many OS threads
 //! actually execute it (the shard *count* keys the stream; the worker
-//! count never does, which is what the CI determinism job enforces by
-//! re-running the identity suite under different `FET_PARALLEL_WORKERS`).
+//! count — `min(host cores, shards)`, or `FET_PARALLEL_WORKERS` — never
+//! does, which is what the CI determinism job enforces by re-running the
+//! identity suite under different `FET_PARALLEL_WORKERS`).
 //! Trajectories of different shard counts agree statistically, not
 //! bitwise (`tests/parallel_equivalence.rs` enforces both properties).
 
@@ -137,22 +140,22 @@ pub enum Fidelity {
 /// [module docs](self) for the stream caveat).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ExecutionMode {
-    /// Select automatically: the parallel round above
-    /// [`FUSED_PARALLEL_AUTO_MIN_N`] agents when more than one core is
-    /// available, the single-threaded round otherwise. The default.
-    ///
-    /// Note: because the auto-parallel shard count follows the host's
-    /// core count, trajectories of `Auto` runs above the threshold are
-    /// reproducible per machine class, not across arbitrary machines; pin
-    /// [`ExecutionMode::FusedParallel`] for cross-machine replays.
+    /// Select automatically: [`FUSED_PARALLEL_AUTO_SHARDS`] shards once a
+    /// round's sampler draws — `n` on mean-field sources, `n·m` on
+    /// index-sampling ones (a graph, or the literal [`Fidelity::Agent`]) —
+    /// reach [`FUSED_PARALLEL_AUTO_MIN_DRAWS`] and the protocol is
+    /// parallel-eligible, the single-threaded round otherwise. The rule
+    /// reads only the configuration, never the host, so an `Auto` run has
+    /// the same stream on every host. The default.
     #[default]
     Auto,
     /// Force the single-threaded round. Sleepy-fault rounds still take
     /// the per-agent loop.
     Fused,
-    /// Force the work-sharded parallel round with `threads` shards (and
-    /// at most that many worker threads; `FET_PARALLEL_WORKERS` overrides
-    /// the worker count without touching the stream). Rejected for
+    /// Force the work-sharded parallel round with `threads` shards, run
+    /// on `min(host cores, threads)` worker threads
+    /// (`FET_PARALLEL_WORKERS` overrides the worker count without touching
+    /// the stream). Rejected for
     /// `threads == 0` and for protocols that opt out of
     /// [`parallel_eligible`](fet_core::protocol::Protocol::parallel_eligible).
     /// The trajectory is keyed by `(seed, threads)`: same thread count ⇒
@@ -176,15 +179,18 @@ impl fmt::Display for ExecutionMode {
     }
 }
 
-/// Population size above which [`ExecutionMode::Auto`] parallelizes the
-/// round (when the host has more than one core). Below it, per-round
-/// thread-spawn overhead outweighs the sharded work.
-pub const FUSED_PARALLEL_AUTO_MIN_N: u64 = 2_000_000;
+/// Sampler draws per round from which [`ExecutionMode::Auto`]
+/// parallelizes the round: `n` on mean-field sources, `n·m` on
+/// index-sampling sources. Below it, per-round thread-spawn overhead
+/// outweighs the sharded work.
+pub const FUSED_PARALLEL_AUTO_MIN_DRAWS: u64 = 2_000_000;
 
-/// Shard-count cap for auto-selected parallelism: beyond this, per-shard
-/// work at [`FUSED_PARALLEL_AUTO_MIN_N`] no longer amortizes spawn costs,
-/// and the auto stream stays comparable across common host sizes.
-const FUSED_PARALLEL_AUTO_MAX_THREADS: u32 = 8;
+/// The fixed shard count of auto-selected parallelism — part of every
+/// such run's stream key, so it never follows the host. Hosts with fewer
+/// cores run the shards on fewer workers; at
+/// [`FUSED_PARALLEL_AUTO_MIN_DRAWS`] each shard still carries enough
+/// work to amortize a thread spawn.
+pub const FUSED_PARALLEL_AUTO_SHARDS: u32 = 8;
 
 /// The round implementation a round resolved to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,14 +204,14 @@ enum RoundImpl {
     Sleepy,
 }
 
-/// [`ExecutionMode::Auto`]'s selection rule, as a pure function: the
-/// parallel round once the population clears [`FUSED_PARALLEL_AUTO_MIN_N`]
-/// on a multi-core host (unless the protocol opts out of parallel
-/// sharding), and the single-threaded round otherwise.
-fn auto_round_impl(auto_threads: u32, n: u64, parallel_eligible: bool) -> RoundImpl {
-    if parallel_eligible && auto_threads > 1 && n >= FUSED_PARALLEL_AUTO_MIN_N {
+/// [`ExecutionMode::Auto`]'s selection rule, as a pure function of the
+/// round's sampler draws: [`FUSED_PARALLEL_AUTO_SHARDS`] shards once they
+/// clear [`FUSED_PARALLEL_AUTO_MIN_DRAWS`] (unless the protocol opts out
+/// of parallel sharding), and the single-threaded round otherwise.
+fn auto_round_impl(draws: u64, parallel_eligible: bool) -> RoundImpl {
+    if parallel_eligible && draws >= FUSED_PARALLEL_AUTO_MIN_DRAWS {
         RoundImpl::FusedParallel {
-            shards: auto_threads,
+            shards: FUSED_PARALLEL_AUTO_SHARDS,
         }
     } else {
         RoundImpl::Fused
@@ -328,9 +334,12 @@ struct EngineCore {
     /// `(this, round, shard range start)` — again without ever consuming
     /// the main engine RNG.
     graph_index_stream: u64,
-    /// Host core count (capped), cached for [`ExecutionMode::Auto`]'s
-    /// parallel selection.
-    auto_threads: u32,
+    /// Agents sampled per agent per round (the protocol's `m`); cached at
+    /// construction since a population never changes protocol.
+    samples_per_round: u32,
+    /// Host core count: the default worker count of parallel rounds
+    /// (capped by the shard count). Never enters a stream.
+    host_cores: u32,
     /// Worker-thread override from `FET_PARALLEL_WORKERS` (a CI/testing
     /// knob: caps the OS threads actually spawned without touching the
     /// shard count, hence without touching the stream). Kept raw and
@@ -459,9 +468,8 @@ impl EngineCore {
             round: 0,
             parallel_stream: SeedTree::new(seed).child("engine-parallel").seed(),
             graph_index_stream: SeedTree::new(seed).child("graph-index").seed(),
-            auto_threads: std::thread::available_parallelism()
-                .map_or(1, |p| p.get() as u32)
-                .min(FUSED_PARALLEL_AUTO_MAX_THREADS),
+            samples_per_round: pop.samples_per_round(),
+            host_cores: std::thread::available_parallelism().map_or(1, |p| p.get() as u32),
             parallel_workers: std::env::var("FET_PARALLEL_WORKERS").ok(),
             parallel_eligible: pop.parallel_eligible(),
         }
@@ -501,17 +509,37 @@ impl EngineCore {
         self.neighborhood.is_none() && self.fidelity != Fidelity::Agent
     }
 
-    /// The round implementation a fault-free round runs under the current
-    /// mode.
+    /// The round implementation the next round runs under the current
+    /// mode and fault plan.
     fn resolve_round_impl(&self) -> RoundImpl {
+        if self.fault.sleep_prob > 0.0 {
+            return RoundImpl::Sleepy;
+        }
         match self.mode {
             ExecutionMode::Fused => RoundImpl::Fused,
             ExecutionMode::FusedParallel { threads } => {
                 RoundImpl::FusedParallel { shards: threads }
             }
             ExecutionMode::Auto => {
-                auto_round_impl(self.auto_threads, self.spec.n(), self.parallel_eligible)
+                // Sampler draws per agent: one on mean-field sources, `m`
+                // neighbour indices on index-sampling sources.
+                let per_agent = if self.mean_field() {
+                    1
+                } else {
+                    u64::from(self.samples_per_round)
+                };
+                auto_round_impl(self.spec.n() * per_agent, self.parallel_eligible)
             }
+        }
+    }
+
+    /// [`EngineCore::resolve_round_impl`] as a never-`Auto`
+    /// [`ExecutionMode`]; the sleepy per-agent loop is single-threaded and
+    /// reports [`ExecutionMode::Fused`].
+    fn resolved_mode(&self) -> ExecutionMode {
+        match self.resolve_round_impl() {
+            RoundImpl::FusedParallel { shards } => ExecutionMode::FusedParallel { threads: shards },
+            RoundImpl::Fused | RoundImpl::Sleepy => ExecutionMode::Fused,
         }
     }
 
@@ -648,16 +676,12 @@ impl EngineCore {
             self.source.retarget(new_correct);
             self.refresh_caches(pop);
         }
-        let round_impl = if self.fault.sleep_prob > 0.0 {
-            assert!(
-                !self.bit_store,
-                "sleepy-agent faults need the per-agent byte output buffer; \
-                 run them on byte storage"
-            );
-            RoundImpl::Sleepy
-        } else {
-            self.resolve_round_impl()
-        };
+        let round_impl = self.resolve_round_impl();
+        assert!(
+            round_impl != RoundImpl::Sleepy || !self.bit_store,
+            "sleepy-agent faults need the per-agent byte output buffer; \
+             run them on byte storage"
+        );
         // Index-sampling rounds write outputs in place while their source
         // still reads round-start opinions; mean-field rounds consume only
         // the global 1-count and keep no snapshot at all.
@@ -751,8 +775,8 @@ impl EngineCore {
     ///   [`Population::step_fused_parallel`] dispatch: `shards` contiguous
     ///   ranges, each with a range-aligned source and its own
     ///   counter-derived RNG stream (never the engine RNG). Worker count
-    ///   = `min(shards, FET_PARALLEL_WORKERS if set)`; it never affects
-    ///   the trajectory.
+    ///   = `FET_PARALLEL_WORKERS` if set, else `min(host cores, shards)`;
+    ///   it never affects the trajectory.
     /// * [`RoundImpl::Sleepy`] — the per-agent loop: each agent first
     ///   draws whether it sleeps; a sleeping agent keeps its state and
     ///   output and its observation is
@@ -826,7 +850,7 @@ impl EngineCore {
                     Some(v) => v.parse().unwrap_or_else(|_| {
                         panic!("FET_PARALLEL_WORKERS must be a u32, got `{v}`")
                     }),
-                    None => shards,
+                    None => self.host_cores.min(shards),
                 };
                 let plan = ShardPlan::new(shards, workers, self.parallel_stream, self.round);
                 if self.bit_store {
@@ -1057,6 +1081,15 @@ where
     /// The configured execution mode.
     pub fn execution_mode(&self) -> ExecutionMode {
         self.core.mode
+    }
+
+    /// What the next round runs: [`ExecutionMode::Fused`] or
+    /// [`ExecutionMode::FusedParallel`] with its shard count — the
+    /// configured mode with [`ExecutionMode::Auto`] resolved. Sleepy-fault
+    /// rounds run a single-threaded per-agent loop and report
+    /// [`ExecutionMode::Fused`].
+    pub fn resolved_execution_mode(&self) -> ExecutionMode {
+        self.core.resolved_mode()
     }
 
     /// Bytes of per-round auxiliary buffers currently allocated. `0` for
@@ -1330,6 +1363,11 @@ impl PopulationEngine {
     /// The configured execution mode.
     pub fn execution_mode(&self) -> ExecutionMode {
         self.core.mode
+    }
+
+    /// What the next round runs (see [`Engine::resolved_execution_mode`]).
+    pub fn resolved_execution_mode(&self) -> ExecutionMode {
+        self.core.resolved_mode()
     }
 
     /// Bytes of per-round auxiliary buffers currently allocated (see
@@ -1882,9 +1920,9 @@ mod tests {
     // ---- graph-fused execution ----
 
     /// Graph rounds replay bit for bit across the typed and
-    /// population-erased front ends in every fused mode, and `Auto` now
-    /// resolves graph rounds to the fused single pass (same stream as
-    /// forcing `Fused`).
+    /// population-erased front ends in every fused mode, and `Auto`
+    /// resolves small graph rounds to the fused single pass (same stream
+    /// as forcing `Fused`).
     #[test]
     fn graph_fused_is_stream_identical_across_typed_and_population_engines() {
         for mode in [
@@ -1921,7 +1959,8 @@ mod tests {
         }
     }
 
-    /// `Auto` and forced `Fused` are the same stream on graphs.
+    /// `Auto` and forced `Fused` are the same stream on graphs whose
+    /// `n·m` stays below the parallel threshold.
     #[test]
     fn graph_auto_resolves_to_fused() {
         let run = |mode: ExecutionMode| {
@@ -2213,27 +2252,83 @@ mod tests {
         assert_eq!(tiny.round_scratch_bytes(), 0);
     }
 
+    /// `Auto` counts a round's sampler draws — `n` on mean-field
+    /// sources, `n·m` on index-sampling ones — and resolves to the fixed
+    /// shard count; no property of the host enters the rule.
     #[test]
-    fn auto_selection_parallelizes_only_large_mean_field_rounds() {
+    fn auto_selection_counts_sampler_draws() {
         use super::auto_round_impl;
+        let parallel = ExecutionMode::FusedParallel {
+            threads: FUSED_PARALLEL_AUTO_SHARDS,
+        };
+        // Mean-field: one sampler draw per agent, so the threshold is on n.
         assert_eq!(
-            auto_round_impl(8, FUSED_PARALLEL_AUTO_MIN_N - 1, true),
+            auto_round_impl(FUSED_PARALLEL_AUTO_MIN_DRAWS - 1, true),
             RoundImpl::Fused
         );
         assert_eq!(
-            auto_round_impl(1, FUSED_PARALLEL_AUTO_MIN_N, true),
-            RoundImpl::Fused,
-            "single-core hosts never pay thread-spawn overhead"
+            auto_round_impl(FUSED_PARALLEL_AUTO_MIN_DRAWS, true),
+            RoundImpl::FusedParallel {
+                shards: FUSED_PARALLEL_AUTO_SHARDS
+            }
         );
         assert_eq!(
-            auto_round_impl(4, FUSED_PARALLEL_AUTO_MIN_N, false),
+            auto_round_impl(FUSED_PARALLEL_AUTO_MIN_DRAWS, false),
             RoundImpl::Fused,
             "Auto must honor a protocol's parallel opt-out"
         );
+        // Engine level: 10⁵ agents at ℓ = 10 draw 10⁵ times per round on
+        // mean-field sources but n·2ℓ = 2·10⁶ times on literal ones.
+        let n = FUSED_PARALLEL_AUTO_MIN_DRAWS / 20;
+        let resolved = |ell: u32, fidelity: Fidelity| {
+            Engine::new(
+                FetProtocol::new(ell).unwrap(),
+                spec(n),
+                fidelity,
+                InitialCondition::AllWrong,
+                1,
+            )
+            .unwrap()
+            .resolved_execution_mode()
+        };
+        assert_eq!(resolved(10, Fidelity::Binomial), ExecutionMode::Fused);
         assert_eq!(
-            auto_round_impl(4, FUSED_PARALLEL_AUTO_MIN_N, true),
-            RoundImpl::FusedParallel { shards: 4 }
+            resolved(10, Fidelity::WithoutReplacement),
+            ExecutionMode::Fused
         );
+        assert_eq!(resolved(10, Fidelity::Agent), parallel);
+        assert_eq!(
+            resolved(9, Fidelity::Agent),
+            ExecutionMode::Fused,
+            "n·m = 1.8·10⁶ stays below the threshold"
+        );
+        // Graph rounds count n·m the same way: a 10⁵-vertex ring at ℓ = 10.
+        let ring = |ell: u32| {
+            Engine::with_neighborhood(
+                FetProtocol::new(ell).unwrap(),
+                Box::new(Ring::new(n as u32)),
+                1,
+                Opinion::One,
+                InitialCondition::AllWrong,
+                1,
+            )
+            .unwrap()
+            .resolved_execution_mode()
+        };
+        assert_eq!(ring(10), parallel);
+        assert_eq!(ring(9), ExecutionMode::Fused);
+        // Sleepy rounds run the single-threaded per-agent loop, whatever
+        // the mode.
+        let mut sleepy = Engine::new(
+            FetProtocol::new(10).unwrap(),
+            spec(n),
+            Fidelity::Agent,
+            InitialCondition::AllWrong,
+            1,
+        )
+        .unwrap();
+        sleepy.set_fault_plan(FaultPlan::with_sleep(0.1).unwrap());
+        assert_eq!(sleepy.resolved_execution_mode(), ExecutionMode::Fused);
     }
 
     // ---- bit-plane storage ----

@@ -21,9 +21,10 @@
 //!   ([`Scheduler::Asynchronous`]).
 //! * **execution mode** — whether the synchronous round (one fused
 //!   single-pass kernel) is work-sharded: [`ExecutionMode::Auto`]
-//!   (default; sharded across threads above an `n` threshold on
-//!   multi-core hosts), or force it with [`ExecutionMode::Fused`] /
-//!   [`ExecutionMode::FusedParallel`].
+//!   (default; 8 shards once a round's sampler draws reach 2·10⁶, on
+//!   every host), or force it with [`ExecutionMode::Fused`] /
+//!   [`ExecutionMode::FusedParallel`]. [`RunReport::resolved_mode`] says
+//!   which one ran.
 //! * **fault plan, initial condition, convergence criterion, budgets,
 //!   seed, trajectory recording** — one method each.
 //!
@@ -176,11 +177,15 @@ pub struct RunReport {
     pub n: u64,
     /// Fidelity the run used.
     pub fidelity: Fidelity,
-    /// Execution mode the run was configured with ([`ExecutionMode::Auto`]
-    /// shards synchronous rounds above an `n` threshold on multi-core
-    /// hosts; the aggregate and asynchronous runners have one
-    /// implementation each).
+    /// Execution mode the run was configured with.
     pub mode: ExecutionMode,
+    /// The round implementation the run resolved to — never
+    /// [`ExecutionMode::Auto`]: [`ExecutionMode::FusedParallel`] with the
+    /// shard count of its stream when the synchronous engine sharded its
+    /// rounds, [`ExecutionMode::Fused`] otherwise (including sleepy-fault
+    /// rounds and the aggregate and asynchronous runners, which run one
+    /// single-threaded implementation each).
+    pub resolved_mode: ExecutionMode,
     /// Scheduler the run used.
     pub scheduler: Scheduler,
     /// The storage representation the run resolved to — never
@@ -412,6 +417,7 @@ impl Simulation {
             n: self.n,
             fidelity: self.fidelity,
             mode: self.mode,
+            resolved_mode: self.resolved_mode(),
             scheduler: self.scheduler,
             storage: self.storage,
             resident_bytes: self.resident_bytes(),
@@ -434,6 +440,15 @@ impl Simulation {
     /// [`Storage::Auto`]).
     pub fn storage(&self) -> Storage {
         self.storage
+    }
+
+    /// The round implementation the next round runs (see
+    /// [`RunReport::resolved_mode`]).
+    pub fn resolved_mode(&self) -> ExecutionMode {
+        match &self.runner {
+            Runner::Sync(e) => e.resolved_execution_mode(),
+            Runner::Async(_) | Runner::Aggregate(_) => ExecutionMode::Fused,
+        }
     }
 }
 
@@ -638,11 +653,12 @@ impl SimulationBuilder {
     }
 
     /// Sets whether synchronous rounds are work-sharded (default
-    /// [`ExecutionMode::Auto`]: parallelized above an `n` threshold on
-    /// multi-core hosts). Forcing [`ExecutionMode::Fused`] or
-    /// [`ExecutionMode::FusedParallel`] is validated in
-    /// [`SimulationBuilder::build`]: both require a synchronous per-agent
-    /// run, and the parallel mode additionally a non-zero thread count and
+    /// [`ExecutionMode::Auto`]: 8 shards once a round's sampler draws —
+    /// `n` mean-field, `n·m` index sampling — reach 2·10⁶). Forcing
+    /// [`ExecutionMode::Fused`] or [`ExecutionMode::FusedParallel`] is
+    /// validated in [`SimulationBuilder::build`]: both require a
+    /// synchronous per-agent run, and the parallel mode additionally a
+    /// non-zero thread count and
     /// a [`parallel_eligible`](fet_core::protocol::Protocol::parallel_eligible)
     /// protocol. Note the stream caveat in [`crate::engine`]'s docs: each
     /// parallel shard count is its own deterministic stream per seed.
@@ -1151,6 +1167,12 @@ mod tests {
                 let report = sim.run();
                 assert!(report.converged(), "{fidelity:?} {mode:?}: {report:?}");
                 assert_eq!(report.mode, mode);
+                // 300 agents stay far below Auto's parallel threshold.
+                let resolved = match mode {
+                    ExecutionMode::Auto => ExecutionMode::Fused,
+                    forced => forced,
+                };
+                assert_eq!(report.resolved_mode, resolved);
             }
         }
     }

@@ -118,9 +118,10 @@ pub struct SweepSpec {
     pub seeds: SeedRange,
     /// Observation fidelity for complete-graph runs (default binomial).
     pub fidelity: Fidelity,
-    /// Round implementation. Defaults to [`ExecutionMode::Fused`] — unlike
-    /// `Auto`, its trajectories don't depend on the host's core count, so
-    /// sweep manifests replay bit-identically across machines.
+    /// Round implementation. Defaults to [`ExecutionMode::Fused`]. Every
+    /// mode replays bit-identically across machines: `Auto` resolves per
+    /// cell from the configuration alone (8 shards once a round draws
+    /// 2·10⁶ samples), and each record stores the shard count that ran.
     pub mode: ExecutionMode,
     /// Initial condition (default all-wrong).
     pub init: InitialCondition,
@@ -652,16 +653,6 @@ impl SweepSpec {
         (cell, seed)
     }
 
-    /// The shard count of the determinism key `(seed, shard count)`: the
-    /// sweep's trajectories are reproducible because this is pinned by the
-    /// spec, never by the host.
-    pub fn shards(&self) -> u32 {
-        match self.mode {
-            ExecutionMode::FusedParallel { threads } => threads,
-            _ => 1,
-        }
-    }
-
     /// The `ℓ` a cell resolves to.
     pub fn cell_ell(&self, cell: &CellParams) -> u32 {
         match cell.ell {
@@ -764,10 +755,16 @@ impl SweepSpec {
         let (cell, seed) = self.episode(episode);
         let mut sim = self.build_simulation(episode, cache)?;
         let report = sim.run();
+        // The determinism key's shard count is what the run resolved to:
+        // `Auto` cells above the parallel threshold ran sharded.
+        let shards = match report.resolved_mode {
+            ExecutionMode::FusedParallel { threads } => threads,
+            ExecutionMode::Auto | ExecutionMode::Fused => 1,
+        };
         Ok(EpisodeRecord {
             episode,
             seed,
-            shards: self.shards(),
+            shards,
             cell,
             report: report.report,
             trajectory: report.trajectory,
@@ -1083,6 +1080,23 @@ mod tests {
             .run_episode(0, &crate::cache::WarmCache::new())
             .unwrap();
         assert!(record.report.converged(), "{record:?}");
+    }
+
+    #[test]
+    fn records_carry_the_shard_count_that_ran() {
+        // 2·10⁴ literal agents at ℓ = 50 draw n·2ℓ = 2·10⁶ indices per
+        // round: Auto shards that cell, and its record says so.
+        let cache = crate::cache::WarmCache::new();
+        let shards = |mode: &str, n: u64| {
+            let spec = SweepSpec::parse(&format!(
+                r#"{{"n": [{n}], "ell": [50], "fidelity": "agent", "mode": "{mode}", "max_rounds": 2}}"#
+            ))
+            .unwrap();
+            spec.run_episode(0, &cache).unwrap().shards
+        };
+        assert_eq!(shards("auto", 20_000), 8);
+        assert_eq!(shards("auto", 19_999), 1);
+        assert_eq!(shards("fused", 20_000), 1);
     }
 
     #[test]

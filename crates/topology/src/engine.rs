@@ -112,16 +112,17 @@ impl<P: Protocol + std::fmt::Debug + Send + Sync> TopologyEngine<P> {
     }
 
     /// Selects which round implementation executes graph rounds (default
-    /// [`ExecutionMode::Auto`], which resolves to the fused single pass —
+    /// [`ExecutionMode::Auto`], which resolves to the fused single pass
+    /// while a round's `n·m` neighbour draws stay below
+    /// [`fet_sim::engine::FUSED_PARALLEL_AUTO_MIN_DRAWS`], and to
+    /// [`fet_sim::engine::FUSED_PARALLEL_AUTO_SHARDS`] shards from there —
     /// see [`Engine::set_execution_mode`] for the stream caveat).
     ///
     /// # Errors
     ///
     /// Returns [`TopologyError::Sim`] for
     /// [`ExecutionMode::FusedParallel`] with zero threads or a protocol
-    /// that opts out of parallel sharding. (Graph runs accept the whole
-    /// fused family; only the complete-graph literal fidelity — which
-    /// this engine never uses — rejects it.)
+    /// that opts out of parallel sharding.
     pub fn set_execution_mode(&mut self, mode: ExecutionMode) -> Result<(), TopologyError> {
         Ok(self.inner.set_execution_mode(mode)?)
     }

@@ -22,7 +22,8 @@
 //! carries no trend, so the tie rule locks each leaf's round-1 opinion.
 //!
 //! Graph runs execute on the **fused** single-pass round (forced
-//! explicitly below; `ExecutionMode::Auto` resolves there too): each
+//! explicitly below; at this size `ExecutionMode::Auto` resolves there
+//! too, as a round's n·m neighbour draws stay below 2·10⁶): each
 //! agent's observation is drawn on demand from its neighbors' round-start
 //! opinions — no observation buffer, just the persistent ~1 byte/agent
 //! opinion double buffer.

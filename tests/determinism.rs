@@ -20,7 +20,9 @@
 //! their streams must be exactly as worker-invariant as the mean-field
 //! ones. `graph_parallel_stream_identity_matrix` serializes
 //! random-regular-graph trajectories to `FET_DETERMINISM_DUMP_GRAPH` for
-//! the same cross-worker-count byte-diff.
+//! the same cross-worker-count byte-diff, including an `ExecutionMode::Auto`
+//! run large enough to shard: `Auto` must resolve to the same fixed shard
+//! count, hence the same bytes, on every host and worker count.
 
 use fet::prelude::*;
 use fet::sim::observer::TrajectoryRecorder;
@@ -185,10 +187,35 @@ fn graph_facade_trajectory(shards: u32, fault: FaultPlan) -> Vec<f64> {
         .expect("recording requested")
 }
 
+/// A graph run whose `n·m` neighbour draws per round (2·10⁴ · 2·64 =
+/// 2.56·10⁶) clear `Auto`'s parallel threshold: the report's resolved
+/// mode and the trajectory.
+fn auto_sized_graph_trajectory(mode: ExecutionMode) -> (ExecutionMode, Vec<f64>) {
+    let mut rng = fet::stats::rng::SeedTree::new(0x6AF)
+        .child("determinism-auto-graph")
+        .rng();
+    let graph = fet::topology::builders::random_regular(20_000, 24, &mut rng).unwrap();
+    let report = Simulation::builder()
+        .topology(graph)
+        .ell(64)
+        .seed(SEED)
+        .max_rounds(8)
+        .execution_mode(mode)
+        .record_trajectory(true)
+        .build()
+        .unwrap()
+        .run();
+    (
+        report.resolved_mode,
+        report.trajectory.expect("recording requested"),
+    )
+}
+
 /// The graph-mode determinism matrix: parallel graph-fused trajectories
 /// must be keyed by `(seed, shard count)` alone — identical across the
 /// typed and facade representations, across repeated runs, and (via CI's
-/// byte-diff of the serialized dump) across worker counts.
+/// byte-diff of the serialized dump) across worker counts. The `Auto`
+/// leg pins the auto-sharded stream to 8 shards on every host.
 #[test]
 fn graph_parallel_stream_identity_matrix() {
     let graph_cases: Vec<(&str, FaultPlan)> = vec![
@@ -223,6 +250,18 @@ fn graph_parallel_stream_identity_matrix() {
         graph_typed_trajectory(2, FaultPlan::none()),
         "graph shard counts must key distinct streams"
     );
+    let eight = ExecutionMode::FusedParallel { threads: 8 };
+    let (resolved, auto) = auto_sized_graph_trajectory(ExecutionMode::Auto);
+    assert_eq!(
+        resolved, eight,
+        "Auto must shard 8 ways on every host (workers={workers})"
+    );
+    assert_eq!(
+        auto,
+        auto_sized_graph_trajectory(eight).1,
+        "Auto must replay the explicit 8-shard stream (workers={workers})"
+    );
+    dump.push_str(&render("auto", 8, &auto));
     if let Ok(path) = std::env::var("FET_DETERMINISM_DUMP_GRAPH") {
         std::fs::write(&path, dump).expect("write graph determinism dump");
     }
