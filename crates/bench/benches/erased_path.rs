@@ -5,10 +5,10 @@
 //! representation and round implementation the workspace can run a
 //! protocol in:
 //!
-//! * `typed_fused` — `Engine<FetProtocol>`: the monomorphized baseline.
-//! * `population_fused` — `PopulationEngine` over
-//!   `Box<dyn DynPopulation>`: one virtual dispatch per round into the
-//!   typed kernel, zero per-round copying.
+//! * `typed_fused` — `Engine<TypedPopulation<FetProtocol>>`: the
+//!   monomorphized baseline.
+//! * `population_fused` — `Engine<dyn DynPopulation>`: one virtual
+//!   dispatch per round into the typed kernel, zero per-round copying.
 //! * `typed_fused_parallel` / `population_fused_parallel` — the fused
 //!   kernel work-sharded over 4 threads (`FET_BENCH_THREADS` overrides):
 //!   per-shard split-RNG streams, one dispatch, per-shard counters
@@ -32,16 +32,17 @@ use fet_core::config::{ell_for_population, ProblemSpec};
 use fet_core::erased::ErasedProtocol;
 use fet_core::fet::FetProtocol;
 use fet_core::opinion::Opinion;
-use fet_sim::engine::{Engine, ExecutionMode, Fidelity, PopulationEngine};
+use fet_core::population::{DynPopulation, TypedPopulation};
+use fet_sim::engine::{Engine, ExecutionMode, Fidelity};
 use fet_sim::init::InitialCondition;
 
 const SIZES: [u64; 3] = [1_024, 10_000, 100_000];
 
-fn typed_engine(n: u64, mode: ExecutionMode) -> Engine<FetProtocol> {
+fn typed_engine(n: u64, mode: ExecutionMode) -> Engine<TypedPopulation<FetProtocol>> {
     let ell = ell_for_population(n, 4.0);
     let spec = ProblemSpec::single_source(n, Opinion::One).unwrap();
     let mut engine = Engine::new(
-        FetProtocol::new(ell).unwrap(),
+        Box::new(TypedPopulation::new(FetProtocol::new(ell).unwrap())),
         spec,
         Fidelity::Binomial,
         InitialCondition::Random,
@@ -52,10 +53,10 @@ fn typed_engine(n: u64, mode: ExecutionMode) -> Engine<FetProtocol> {
     engine
 }
 
-fn population_engine(n: u64, mode: ExecutionMode) -> PopulationEngine {
+fn population_engine(n: u64, mode: ExecutionMode) -> Engine<dyn DynPopulation> {
     let ell = ell_for_population(n, 4.0);
     let spec = ProblemSpec::single_source(n, Opinion::One).unwrap();
-    let mut engine = PopulationEngine::new(
+    let mut engine = Engine::new(
         ErasedProtocol::new(FetProtocol::new(ell).unwrap()).population(),
         spec,
         Fidelity::Binomial,
@@ -67,10 +68,10 @@ fn population_engine(n: u64, mode: ExecutionMode) -> PopulationEngine {
     engine
 }
 
-fn bitplane_engine(n: u64, mode: ExecutionMode) -> PopulationEngine {
+fn bitplane_engine(n: u64, mode: ExecutionMode) -> Engine<dyn DynPopulation> {
     let ell = ell_for_population(n, 4.0);
     let spec = ProblemSpec::single_source(n, Opinion::One).unwrap();
-    let mut engine = PopulationEngine::new(
+    let mut engine = Engine::new(
         ErasedProtocol::new(FetProtocol::new(ell).unwrap())
             .bit_population()
             .expect("FET's clock fits the byte plane at bench sizes"),

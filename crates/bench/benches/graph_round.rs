@@ -36,12 +36,13 @@ use fet_bench::{announced_bench_threads, report_host_parallelism};
 use fet_core::erased::ErasedProtocol;
 use fet_core::fet::FetProtocol;
 use fet_core::opinion::Opinion;
-use fet_sim::engine::{ExecutionMode, PopulationEngine};
+use fet_core::population::TypedPopulation;
+use fet_sim::engine::{Engine, ExecutionMode};
 use fet_sim::init::InitialCondition;
 use fet_stats::isa::{self, IsaPath};
 use fet_stats::rng::SeedTree;
 use fet_topology::builders;
-use fet_topology::engine::TopologyEngine;
+use fet_topology::graph::SharedGraph;
 
 const DEGREE: u32 = 32;
 
@@ -90,9 +91,11 @@ fn bench_graph_round(c: &mut Criterion) {
                 let mut rng = SeedTree::new(17).child("graph-bench").rng();
                 let graph =
                     builders::random_regular(n, DEGREE, &mut rng).expect("valid regular graph");
-                let mut engine = TopologyEngine::new(
-                    FetProtocol::for_population(u64::from(n), 4.0).expect("valid ℓ"),
-                    graph,
+                let mut engine = Engine::with_neighborhood(
+                    Box::new(TypedPopulation::new(
+                        FetProtocol::for_population(u64::from(n), 4.0).expect("valid ℓ"),
+                    )),
+                    Box::new(SharedGraph::from(graph)),
                     1,
                     Opinion::One,
                     InitialCondition::Random,
@@ -118,7 +121,7 @@ fn bench_graph_round(c: &mut Criterion) {
                 let graph =
                     builders::random_regular(n, DEGREE, &mut rng).expect("valid regular graph");
                 let protocol = FetProtocol::for_population(u64::from(n), 4.0).expect("valid ℓ");
-                let mut engine = PopulationEngine::with_neighborhood(
+                let mut engine = Engine::with_neighborhood(
                     ErasedProtocol::new(protocol)
                         .bit_population()
                         .expect("FET's clock fits the byte plane at bench sizes"),

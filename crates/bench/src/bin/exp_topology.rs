@@ -2,7 +2,8 @@
 //!
 //! The paper's model (§1.2) is a fully-connected population. This
 //! experiment replaces uniform global sampling with uniform sampling from
-//! graph neighborhoods ([`fet_topology::engine::TopologyEngine`]) and
+//! graph neighborhoods (`fet_sim::engine::Engine::with_neighborhood` over a
+//! [`fet_topology::graph::SharedGraph`]) and
 //! sweeps a menagerie of topologies at fixed `n`. Shapes of interest:
 //!
 //! * *expander-like* graphs (dense G(n, p), random `d`-regular with
@@ -23,16 +24,17 @@
 use fet_bench::{Harness, ROOT_SEED};
 use fet_core::fet::FetProtocol;
 use fet_core::opinion::Opinion;
+use fet_core::population::TypedPopulation;
 use fet_plot::csv::CsvWriter;
 use fet_plot::table::{fmt_float, Table};
 use fet_sim::batch::{parallel_map, BatchSummary};
 use fet_sim::convergence::{ConvergenceCriterion, ConvergenceReport};
+use fet_sim::engine::Engine;
 use fet_sim::init::InitialCondition;
 use fet_sim::observer::NullObserver;
 use fet_stats::rng::SeedTree;
 use fet_topology::builders;
-use fet_topology::engine::TopologyEngine;
-use fet_topology::graph::{Graph, GraphStats};
+use fet_topology::graph::{Graph, GraphStats, SharedGraph};
 
 /// One topology under test.
 struct Case {
@@ -156,6 +158,7 @@ fn main() {
 
     for case in cases(n, h.quick) {
         let stats = GraphStats::of(&case.graph);
+        let graph = SharedGraph::from(case.graph);
         let indices: Vec<u64> = (0..reps).collect();
         let results: Vec<(ConvergenceReport, f64)> = parallel_map(&indices, 8, |&rep| {
             let seed = SeedTree::new(ROOT_SEED)
@@ -164,9 +167,9 @@ fn main() {
                 .child_indexed("rep", rep)
                 .seed();
             let protocol = FetProtocol::for_population(u64::from(n), 4.0).expect("valid");
-            let mut engine = TopologyEngine::new(
-                protocol,
-                case.graph.clone(),
+            let mut engine = Engine::with_neighborhood(
+                Box::new(TypedPopulation::new(protocol)),
+                Box::new(graph.clone()),
                 1,
                 Opinion::One,
                 InitialCondition::AllWrong,
@@ -259,14 +262,15 @@ fn main() {
                 .child_indexed("d", u64::from(d));
             let mut rng = gen.rng();
             let d_even = d + (n * d) % 2;
-            let graph = builders::random_regular(n, d_even, &mut rng).expect("valid");
+            let graph =
+                SharedGraph::from(builders::random_regular(n, d_even, &mut rng).expect("valid"));
             let indices: Vec<u64> = (0..reps_thr).collect();
             let oks: Vec<bool> = parallel_map(&indices, 8, |&rep| {
                 let seed = gen.child_indexed("rep", rep).seed();
                 let protocol = FetProtocol::for_population(u64::from(n), 4.0).expect("valid");
-                let mut engine = TopologyEngine::new(
-                    protocol,
-                    graph.clone(),
+                let mut engine = Engine::with_neighborhood(
+                    Box::new(TypedPopulation::new(protocol)),
+                    Box::new(graph.clone()),
                     1,
                     Opinion::One,
                     InitialCondition::AllWrong,

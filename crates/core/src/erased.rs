@@ -24,7 +24,7 @@
 //! | state layout | `n` separately boxed states | one contiguous `Vec<P::State>` |
 //! | per-round cost | one virtual call per agent step (boxes are not contiguous, so the typed round kernel cannot run over them) | zero-copy: one virtual dispatch into the typed kernel |
 //! | per-agent state access | yes — states are first-class `Box<dyn DynState>` values you can hold, swap, and move between containers | through the population only (indices, not owned values) |
-//! | drop-in for `Engine<P>` | yes — implements [`Protocol`] itself | no — engines need a population-aware entry point |
+//! | engine container | `TypedPopulation<ErasedProtocol>` — implements [`Protocol`] itself, so any typed container holds it | itself — `Box<dyn DynPopulation>` is an engine container directly |
 //!
 //! **Default to the population container**: every facade/registry run does
 //! (`ErasedProtocol::population` is the bridge), and the population path

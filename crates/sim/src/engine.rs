@@ -13,26 +13,26 @@
 //! 1-fraction `x` contains `Binomial(m, x)` ones. The `O(ℓ)`-per-round
 //! aggregate chain lives in [`crate::aggregate`].
 //!
-//! # One round loop, two front ends
+//! # One engine, two containers
 //!
 //! The round mechanics — snapshotting, observation sources, fault
 //! injection, the protocol dispatch, counter folding — are written once,
 //! generically over [`Population`] (the object-safe contiguous-state
-//! container from `fet-core`). Two front ends instantiate them:
+//! container from `fet-core`), and so is every constructor and accessor
+//! of [`Engine`].
+//! The container type picks the representation:
 //!
-//! * [`Engine<P>`] — the typed engine. Owns a
-//!   [`TypedPopulation<P>`](fet_core::population::TypedPopulation), so
-//!   every population call monomorphizes away: this is the fastest path
-//!   and the one with typed state access for adversarial surgery.
-//! * [`PopulationEngine`] — the runtime-selected engine. Owns a
-//!   `Box<dyn DynPopulation>` (built by
-//!   [`ErasedProtocol::population`](fet_core::erased::ErasedProtocol::population)
-//!   or the `fet-protocols` registry), paying exactly one virtual dispatch
-//!   per round.
+//! * `Engine<TypedPopulation<P>>` — every population call monomorphizes
+//!   away; the only extra methods are typed state access for adversarial
+//!   surgery.
+//! * `Engine<dyn DynPopulation>` — the runtime-selected container (built
+//!   by [`ErasedProtocol::population`](fet_core::erased::ErasedProtocol::population)
+//!   or the `fet-protocols` registry), paying one virtual dispatch per
+//!   round. The `Simulation` facade runs this one.
 //!
-//! Both front ends share every line of round code, so their random streams
-//! are identical by construction: a facade run selected by registry name
-//! reproduces a typed `Engine<P>` run bit for bit given the same seed.
+//! Both share every line of round code, so their random streams are
+//! identical by construction: a facade run selected by registry name
+//! reproduces a typed run bit for bit given the same seed.
 //!
 //! # One synchronous round: fused, optionally work-sharded
 //!
@@ -92,7 +92,7 @@ use crate::sources::{
 use fet_core::bitplane::BitPlane;
 use fet_core::config::ProblemSpec;
 use fet_core::opinion::Opinion;
-use fet_core::population::{DynPopulation, Population, TypedPopulation};
+use fet_core::population::{Population, TypedPopulation};
 use fet_core::protocol::{FusedCounters, Protocol, RoundContext};
 use fet_core::shard::{ShardPlan, ShardSourceFactory};
 use fet_core::source::Source;
@@ -278,10 +278,8 @@ fn check_fidelity(samples_per_round: u32, fidelity: Fidelity, n: usize) -> Resul
 /// instance, the sampling machinery, the fault plan, the cached output
 /// bits and counters, and the round loop itself.
 ///
-/// All round methods are generic over [`Population`]; `Engine<P>` calls
-/// them with a monomorphized [`TypedPopulation<P>`], `PopulationEngine`
-/// with a `dyn DynPopulation`. Keeping one implementation guarantees the
-/// two paths consume identical random streams.
+/// All round methods are generic over [`Population`], so every
+/// [`Engine`] container consumes identical random streams.
 #[derive(Debug, Clone)]
 struct EngineCore {
     spec: ProblemSpec,
@@ -924,7 +922,7 @@ impl EngineCore {
 }
 
 /// Validates a communication structure and its source placement, returning
-/// the implied problem specification. Shared by both engine front ends.
+/// the implied problem specification.
 fn neighborhood_spec(
     neighborhood: &dyn Neighborhood,
     num_sources: u32,
@@ -947,14 +945,23 @@ fn neighborhood_spec(
 
 /// A population of agents running one protocol, plus the round loop.
 ///
+/// `A` is the agent container, owned behind a `Box` (see the
+/// [module docs](self)): `Engine<TypedPopulation<P>>` adds typed state
+/// access for adversarial surgery ([`Engine::states_mut`] and friends),
+/// `Engine<dyn DynPopulation>` runs a runtime-selected container — typed
+/// states or packed bit planes. Every container runs the same round code,
+/// so a run replays bit for bit across containers given the same seed.
+///
 /// Agent indices `[0, num_sources)` are sources; the rest run the protocol.
 ///
 /// # Example
 ///
 /// ```
+/// use fet_core::erased::ErasedProtocol;
 /// use fet_core::fet::FetProtocol;
 /// use fet_core::config::ProblemSpec;
 /// use fet_core::opinion::Opinion;
+/// use fet_core::population::TypedPopulation;
 /// use fet_sim::engine::{Engine, Fidelity};
 /// use fet_sim::init::InitialCondition;
 /// use fet_sim::convergence::ConvergenceCriterion;
@@ -962,77 +969,87 @@ fn neighborhood_spec(
 ///
 /// let spec = ProblemSpec::single_source(300, Opinion::One)?;
 /// let proto = FetProtocol::for_population(300, 4.0)?;
-/// let mut engine = Engine::new(proto, spec, Fidelity::Binomial, InitialCondition::AllWrong, 7)?;
+/// let (fidelity, init) = (Fidelity::Binomial, InitialCondition::AllWrong);
+/// let typed = Box::new(TypedPopulation::new(proto.clone()));
+/// let mut engine = Engine::new(typed, spec, fidelity, init, 7)?;
 /// let report = engine.run(5_000, ConvergenceCriterion::default(), &mut NullObserver);
 /// assert!(report.converged());
+///
+/// // The same run over a runtime-selected container replays it exactly.
+/// let erased = ErasedProtocol::new(proto).population();
+/// let mut engine = Engine::new(erased, spec, fidelity, init, 7)?;
+/// let replay = engine.run(5_000, ConvergenceCriterion::default(), &mut NullObserver);
+/// assert_eq!(replay, report);
+/// assert_eq!(engine.protocol_name(), "fet");
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct Engine<P: Protocol> {
-    population: TypedPopulation<P>,
+#[derive(Debug)]
+pub struct Engine<A: Population + ?Sized> {
+    population: Box<A>,
     core: EngineCore,
 }
 
-impl<P> Engine<P>
+impl<A: Population + ?Sized> Clone for Engine<A>
 where
-    P: Protocol + fmt::Debug + Send + Sync,
+    Box<A>: Clone,
 {
-    /// Creates an engine with non-source opinions drawn from `init` and
-    /// internal variables randomized by the protocol.
+    fn clone(&self) -> Self {
+        Engine {
+            population: self.population.clone(),
+            core: self.core.clone(),
+        }
+    }
+}
+
+impl<A: Population + ?Sized> Engine<A> {
+    /// Creates an engine over an empty container, filling it with
+    /// non-source agents whose opinions are drawn from `init` and whose
+    /// internal variables the protocol randomizes (one opinion draw then
+    /// one state init per agent, in agent order — the same stream for
+    /// every container).
     ///
     /// # Errors
     ///
     /// Returns [`SimError::UnsupportedPopulation`] when `n` does not fit in
     /// addressable memory for per-agent simulation, and
-    /// [`SimError::InvalidParameter`] when [`Fidelity::WithoutReplacement`]
-    /// is requested with a sample size exceeding the population.
+    /// [`SimError::InvalidParameter`] when the container already holds
+    /// agents or when [`Fidelity::WithoutReplacement`] is requested with a
+    /// sample size exceeding the population.
     pub fn new(
-        protocol: P,
+        mut population: Box<A>,
         spec: ProblemSpec,
         fidelity: Fidelity,
         init: InitialCondition,
         seed: u64,
     ) -> Result<Self, SimError> {
-        let mut population = TypedPopulation::new(protocol);
-        let core = EngineCore::construct(&mut population, spec, fidelity, init, seed)?;
-        Ok(Engine { population, core })
-    }
-
-    /// Creates an engine from explicitly provided non-source states — the
-    /// entry point for adversarial configurations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnsupportedPopulation`] for oversized `n` and
-    /// [`SimError::InvalidParameter`] when `states.len()` does not equal the
-    /// number of non-source agents.
-    pub fn from_states(
-        protocol: P,
-        spec: ProblemSpec,
-        fidelity: Fidelity,
-        states: Vec<P::State>,
-        seed: u64,
-    ) -> Result<Self, SimError> {
-        let mut population = TypedPopulation::from_states(protocol, states);
-        let core = EngineCore::construct_filled(&mut population, spec, fidelity, seed)?;
+        if !population.is_empty() {
+            return Err(SimError::InvalidParameter {
+                name: "population",
+                detail: format!(
+                    "expected an empty container, got {} pre-filled agents",
+                    population.len()
+                ),
+            });
+        }
+        let core = EngineCore::construct(&mut *population, spec, fidelity, init, seed)?;
         Ok(Engine { population, core })
     }
 
     /// Creates an engine where each agent samples from an explicit
-    /// communication structure instead of the whole population — the
-    /// `fet-topology` engine's mechanics, available behind the unified
-    /// facade. Sources occupy vertices `[0, num_sources)`; sampling is
-    /// literal ([`Fidelity::Agent`] semantics) since neighbor counts do
-    /// not follow a global binomial law.
+    /// communication structure instead of the whole population. Sources
+    /// occupy vertices `[0, num_sources)`; sampling is literal
+    /// ([`Fidelity::Agent`] semantics) since neighbor counts do not follow
+    /// a global binomial law. On bit-plane containers the round-start
+    /// double buffer is the packed 1 bit/agent word snapshot.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidParameter`] when some vertex has no
-    /// neighbors, or when `num_sources` is zero or not smaller than the
-    /// vertex count; propagates `ProblemSpec` validation as
-    /// [`SimError::Core`].
+    /// As [`Engine::new`]; also returns [`SimError::InvalidParameter`]
+    /// when some vertex has no neighbors, or when `num_sources` is zero or
+    /// not smaller than the vertex count, and propagates `ProblemSpec`
+    /// validation as [`SimError::Core`].
     pub fn with_neighborhood(
-        protocol: P,
+        population: Box<A>,
         neighborhood: Box<dyn Neighborhood>,
         num_sources: u32,
         correct: Opinion,
@@ -1040,9 +1057,30 @@ where
         seed: u64,
     ) -> Result<Self, SimError> {
         let spec = neighborhood_spec(neighborhood.as_ref(), num_sources, correct)?;
-        let mut engine = Engine::new(protocol, spec, Fidelity::Agent, init, seed)?;
+        let mut engine = Engine::new(population, spec, Fidelity::Agent, init, seed)?;
         engine.core.neighborhood = Some(neighborhood);
         Ok(engine)
+    }
+
+    /// Creates an engine over an already-filled container — the entry
+    /// point for adversarial configurations (see
+    /// [`TypedPopulation::from_states`]) and for replaying an explicit
+    /// state vector on bit-plane storage (see
+    /// [`fet_core::bitplane::BitPopulation::from_states`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::UnsupportedPopulation`] for oversized `n` and
+    /// [`SimError::InvalidParameter`] when the container does not hold
+    /// exactly one agent per non-source.
+    pub fn from_population(
+        mut population: Box<A>,
+        spec: ProblemSpec,
+        fidelity: Fidelity,
+        seed: u64,
+    ) -> Result<Self, SimError> {
+        let core = EngineCore::construct_filled(&mut *population, spec, fidelity, seed)?;
+        Ok(Engine { population, core })
     }
 
     /// Installs a fault plan (replacing any previous plan).
@@ -1096,14 +1134,25 @@ where
     /// as long as every executed round sampled mean-field — the
     /// measurable form of its `O(1)`-auxiliary-memory guarantee;
     /// index-sampling runs (graphs, the literal [`Fidelity::Agent`])
-    /// report exactly the persistent ~1 byte/agent opinion double buffer.
+    /// report exactly the persistent opinion double buffer (~1 byte/agent,
+    /// ~1 bit/agent on bit-plane storage).
     pub fn round_scratch_bytes(&self) -> usize {
         self.core.scratch_bytes()
     }
 
-    /// The protocol configuration.
-    pub fn protocol(&self) -> &P {
-        self.population.protocol()
+    /// The running protocol's name.
+    pub fn protocol_name(&self) -> &str {
+        self.population.protocol_name()
+    }
+
+    /// Agents sampled per agent per round.
+    pub fn samples_per_round(&self) -> u32 {
+        self.core.samples_per_round
+    }
+
+    /// The agent container (for memory accounting and inspection).
+    pub fn population(&self) -> &A {
+        &self.population
     }
 
     /// The problem specification this engine was built with.
@@ -1141,291 +1190,9 @@ where
         self.core.all_correct()
     }
 
-    /// Public outputs of all agents (index `< num_sources` are sources).
-    pub fn outputs(&self) -> &[Opinion] {
-        &self.core.outputs
-    }
-
-    /// Non-source agent states (read-only).
-    pub fn states(&self) -> &[P::State] {
-        self.population.states()
-    }
-
-    /// Replaces the state of non-source agent `idx` (0-based among
-    /// non-sources) and refreshes cached counters. Adversary entry point.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `idx` is out of range.
-    pub fn set_state(&mut self, idx: usize, state: P::State) {
-        self.population.set_state(idx, state);
-        self.refresh_caches();
-    }
-
-    /// Re-derives outputs and counters from the states — call after bulk
-    /// state surgery through [`Engine::states_mut`].
-    pub fn refresh_caches(&mut self) {
-        self.core.refresh_caches(&self.population);
-    }
-
-    /// Mutable access to non-source states for adversarial surgery.
-    /// Callers **must** invoke [`Engine::refresh_caches`] afterwards.
-    pub fn states_mut(&mut self) -> &mut [P::State] {
-        self.population.states_mut()
-    }
-
-    /// Executes one synchronous round.
-    ///
-    /// When no agent can sleep, the round is one
-    /// [`Protocol::step_fused`] pass over the contiguous state slice
-    /// (work-sharded under [`ExecutionMode::FusedParallel`]), so
-    /// protocols with specialized kernels pay neither per-agent dispatch
-    /// nor per-agent validation. Sleepy-agent fault plans take the
-    /// per-agent loop (a sleeping agent must skip its update entirely).
-    pub fn step(&mut self) {
-        self.core.step(&mut self.population);
-    }
-
-    /// Runs until convergence is confirmed or `max_rounds` have executed.
-    ///
-    /// The observer receives round 0 (the initial configuration) and every
-    /// round thereafter.
-    pub fn run<O: RoundObserver + ?Sized>(
-        &mut self,
-        max_rounds: u64,
-        criterion: ConvergenceCriterion,
-        observer: &mut O,
-    ) -> ConvergenceReport {
-        self.core
-            .run(&mut self.population, max_rounds, criterion, observer)
-    }
-}
-
-/// The runtime-selected synchronous engine: [`Engine`] mechanics over a
-/// type-erased contiguous population container.
-///
-/// Where the per-agent erased route (`Engine<ErasedProtocol>`) boxes every
-/// agent's state, this engine owns a `Box<dyn DynPopulation>` — one
-/// contiguous `Vec` of concrete states behind an object-safe interface —
-/// so each round costs a single virtual dispatch into the typed kernel
-/// with **zero per-round state cloning**. Runs selected by registry name through
-/// `Simulation::builder()` execute here and are stream-identical to the
-/// corresponding typed [`Engine<P>`] run.
-///
-/// # Example
-///
-/// ```
-/// use fet_core::config::ProblemSpec;
-/// use fet_core::erased::ErasedProtocol;
-/// use fet_core::fet::FetProtocol;
-/// use fet_core::opinion::Opinion;
-/// use fet_sim::convergence::ConvergenceCriterion;
-/// use fet_sim::engine::{Fidelity, PopulationEngine};
-/// use fet_sim::init::InitialCondition;
-/// use fet_sim::observer::NullObserver;
-///
-/// let spec = ProblemSpec::single_source(300, Opinion::One)?;
-/// let erased = ErasedProtocol::new(FetProtocol::for_population(300, 4.0)?);
-/// let mut engine = PopulationEngine::new(
-///     erased.population(),
-///     spec,
-///     Fidelity::Binomial,
-///     InitialCondition::AllWrong,
-///     7,
-/// )?;
-/// let report = engine.run(5_000, ConvergenceCriterion::default(), &mut NullObserver);
-/// assert!(report.converged());
-/// assert_eq!(engine.protocol_name(), "fet");
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct PopulationEngine {
-    population: Box<dyn DynPopulation>,
-    core: EngineCore,
-}
-
-impl PopulationEngine {
-    /// Creates an engine over an (empty) erased population container,
-    /// filling it with non-source agents exactly as [`Engine::new`] does —
-    /// same seed derivation, same draw/init interleaving, hence identical
-    /// random streams.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::new`]. Additionally returns
-    /// [`SimError::InvalidParameter`] when the container already holds
-    /// agents (populations are filled by the engine).
-    pub fn new(
-        population: Box<dyn DynPopulation>,
-        spec: ProblemSpec,
-        fidelity: Fidelity,
-        init: InitialCondition,
-        seed: u64,
-    ) -> Result<Self, SimError> {
-        PopulationEngine::build(population, spec, fidelity, init, seed, None)
-    }
-
-    /// Topology variant of [`PopulationEngine::new`]; see
-    /// [`Engine::with_neighborhood`]. On bit-plane containers the
-    /// round-start double buffer is the packed 1 bit/agent word snapshot.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::with_neighborhood`].
-    pub fn with_neighborhood(
-        population: Box<dyn DynPopulation>,
-        neighborhood: Box<dyn Neighborhood>,
-        num_sources: u32,
-        correct: Opinion,
-        init: InitialCondition,
-        seed: u64,
-    ) -> Result<Self, SimError> {
-        let spec = neighborhood_spec(neighborhood.as_ref(), num_sources, correct)?;
-        PopulationEngine::build(
-            population,
-            spec,
-            Fidelity::Agent,
-            init,
-            seed,
-            Some(neighborhood),
-        )
-    }
-
-    /// Creates an engine over an already-filled container — the erased
-    /// analogue of [`Engine::from_states`], and the entry point for
-    /// replaying an explicit state vector on bit-plane storage (see
-    /// [`fet_core::bitplane::BitPopulation::from_states`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::from_states`].
-    pub fn from_population(
-        mut population: Box<dyn DynPopulation>,
-        spec: ProblemSpec,
-        fidelity: Fidelity,
-        seed: u64,
-    ) -> Result<Self, SimError> {
-        let core = EngineCore::construct_filled(population.as_mut(), spec, fidelity, seed)?;
-        Ok(PopulationEngine { population, core })
-    }
-
-    /// Shared constructor body: fills the container and installs the
-    /// neighborhood (when any).
-    fn build(
-        mut population: Box<dyn DynPopulation>,
-        spec: ProblemSpec,
-        fidelity: Fidelity,
-        init: InitialCondition,
-        seed: u64,
-        neighborhood: Option<Box<dyn Neighborhood>>,
-    ) -> Result<Self, SimError> {
-        if !population.is_empty() {
-            return Err(SimError::InvalidParameter {
-                name: "population",
-                detail: format!(
-                    "expected an empty container, got {} pre-filled agents",
-                    population.len()
-                ),
-            });
-        }
-        let mut core = EngineCore::construct(population.as_mut(), spec, fidelity, init, seed)?;
-        core.neighborhood = neighborhood;
-        Ok(PopulationEngine { population, core })
-    }
-
-    /// Installs a fault plan (replacing any previous plan).
-    pub fn set_fault_plan(&mut self, fault: FaultPlan) {
-        self.core.fault = fault;
-    }
-
-    /// Installs a round-indexed fault schedule (see
-    /// [`Engine::set_fault_schedule`]).
-    pub fn set_fault_schedule(&mut self, schedule: &FaultSchedule) {
-        self.core.set_schedule(schedule);
-    }
-
-    /// Per-event recovery records accumulated so far (see
-    /// [`Engine::recovery_records`]).
-    pub fn recovery_records(&self) -> &[RecoveryRecord] {
-        self.core.recovery.records()
-    }
-
-    /// Selects which round implementation executes (see
-    /// [`Engine::set_execution_mode`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::set_execution_mode`].
-    pub fn set_execution_mode(&mut self, mode: ExecutionMode) -> Result<(), SimError> {
-        self.core.set_mode(mode)
-    }
-
-    /// The configured execution mode.
-    pub fn execution_mode(&self) -> ExecutionMode {
-        self.core.mode
-    }
-
-    /// What the next round runs (see [`Engine::resolved_execution_mode`]).
-    pub fn resolved_execution_mode(&self) -> ExecutionMode {
-        self.core.resolved_mode()
-    }
-
-    /// Bytes of per-round auxiliary buffers currently allocated (see
-    /// [`Engine::round_scratch_bytes`]).
-    pub fn round_scratch_bytes(&self) -> usize {
-        self.core.scratch_bytes()
-    }
-
-    /// The running protocol's name.
-    pub fn protocol_name(&self) -> &str {
-        self.population.protocol_name()
-    }
-
-    /// Agents sampled per agent per round.
-    pub fn samples_per_round(&self) -> u32 {
-        self.population.samples_per_round()
-    }
-
-    /// The erased population container (for memory accounting and
-    /// inspection).
-    pub fn population(&self) -> &dyn DynPopulation {
-        self.population.as_ref()
-    }
-
-    /// The problem specification this engine was built with (see
-    /// [`Engine::spec`] for the retargeting caveat).
-    pub fn spec(&self) -> &ProblemSpec {
-        &self.core.spec
-    }
-
-    /// The current correct opinion (tracks mid-run retargeting).
-    pub fn correct(&self) -> Opinion {
-        self.core.source.correct()
-    }
-
-    /// Current round index (0 before any [`PopulationEngine::step`]).
-    pub fn round(&self) -> u64 {
-        self.core.round
-    }
-
-    /// The paper's `x_t`: fraction of all agents currently outputting 1.
-    pub fn fraction_ones(&self) -> f64 {
-        self.core.fraction_ones()
-    }
-
-    /// Fraction of non-source agents deciding correctly.
-    pub fn fraction_correct(&self) -> f64 {
-        self.core.fraction_correct()
-    }
-
-    /// `true` when every non-source agent decides correctly.
-    pub fn all_correct(&self) -> bool {
-        self.core.all_correct()
-    }
-
     /// `true` when the engine drives a bit-plane population through the
     /// in-place fused kernels (no byte output buffer exists; see
-    /// [`PopulationEngine::collect_outputs`]).
+    /// [`Engine::collect_outputs`]).
     pub fn uses_bit_storage(&self) -> bool {
         self.core.bit_store
     }
@@ -1435,8 +1202,8 @@ impl PopulationEngine {
     /// # Panics
     ///
     /// Panics on bit-plane storage, which keeps no byte output buffer —
-    /// use [`PopulationEngine::collect_outputs`] (allocating) or read the
-    /// population directly.
+    /// use [`Engine::collect_outputs`] (allocating) or read the population
+    /// directly.
     pub fn outputs(&self) -> &[Opinion] {
         assert!(
             !self.core.bit_store,
@@ -1456,13 +1223,22 @@ impl PopulationEngine {
         out
     }
 
-    /// Executes one synchronous round (see [`Engine::step`]).
+    /// Executes one synchronous round.
+    ///
+    /// When no agent can sleep, the round is one
+    /// [`Protocol::step_fused`] pass over the contiguous state slice
+    /// (work-sharded under [`ExecutionMode::FusedParallel`]), so
+    /// protocols with specialized kernels pay neither per-agent dispatch
+    /// nor per-agent validation. Sleepy-agent fault plans take the
+    /// per-agent loop (a sleeping agent must skip its update entirely).
     pub fn step(&mut self) {
-        self.core.step(self.population.as_mut());
+        self.core.step(&mut *self.population);
     }
 
-    /// Runs until convergence is confirmed or `max_rounds` have executed
-    /// (see [`Engine::run`]).
+    /// Runs until convergence is confirmed or `max_rounds` have executed.
+    ///
+    /// The observer receives round 0 (the initial configuration) and every
+    /// round thereafter.
     pub fn run<O: RoundObserver + ?Sized>(
         &mut self,
         max_rounds: u64,
@@ -1470,7 +1246,46 @@ impl PopulationEngine {
         observer: &mut O,
     ) -> ConvergenceReport {
         self.core
-            .run(self.population.as_mut(), max_rounds, criterion, observer)
+            .run(&mut *self.population, max_rounds, criterion, observer)
+    }
+}
+
+/// Typed state surgery — the adversarial entry points.
+impl<P> Engine<TypedPopulation<P>>
+where
+    P: Protocol + fmt::Debug + Send + Sync,
+{
+    /// The protocol configuration.
+    pub fn protocol(&self) -> &P {
+        self.population.protocol()
+    }
+
+    /// Non-source agent states (read-only).
+    pub fn states(&self) -> &[P::State] {
+        self.population.states()
+    }
+
+    /// Mutable access to non-source states for adversarial surgery.
+    /// Callers **must** invoke [`Engine::refresh_caches`] afterwards.
+    pub fn states_mut(&mut self) -> &mut [P::State] {
+        self.population.states_mut()
+    }
+
+    /// Replaces the state of non-source agent `idx` (0-based among
+    /// non-sources) and refreshes cached counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `idx` is out of range.
+    pub fn set_state(&mut self, idx: usize, state: P::State) {
+        self.population.set_state(idx, state);
+        self.refresh_caches();
+    }
+
+    /// Re-derives outputs and counters from the states — call after bulk
+    /// state surgery through [`Engine::states_mut`].
+    pub fn refresh_caches(&mut self) {
+        self.core.refresh_caches(&*self.population);
     }
 }
 
@@ -1489,14 +1304,26 @@ mod tests {
     #[test]
     fn engine_rejects_mismatched_states() {
         let p = FetProtocol::new(4).unwrap();
-        let err = Engine::from_states(p, spec(10), Fidelity::Agent, vec![], 1);
+        let err = Engine::from_population(
+            Box::new(TypedPopulation::from_states(p, vec![])),
+            spec(10),
+            Fidelity::Agent,
+            1,
+        );
         assert!(matches!(err, Err(SimError::InvalidParameter { .. })));
     }
 
     #[test]
     fn initial_condition_all_wrong_sets_x0() {
         let p = FetProtocol::new(4).unwrap();
-        let e = Engine::new(p, spec(100), Fidelity::Agent, InitialCondition::AllWrong, 3).unwrap();
+        let e = Engine::new(
+            Box::new(TypedPopulation::new(p)),
+            spec(100),
+            Fidelity::Agent,
+            InitialCondition::AllWrong,
+            3,
+        )
+        .unwrap();
         // Only the source holds 1.
         assert!((e.fraction_ones() - 0.01).abs() < 1e-12);
         assert_eq!(e.fraction_correct(), 0.0);
@@ -1507,7 +1334,7 @@ mod tests {
     fn initial_condition_all_correct_is_absorbing_for_fet() {
         let p = FetProtocol::new(8).unwrap();
         let mut e = Engine::new(
-            p,
+            Box::new(TypedPopulation::new(p)),
             spec(200),
             Fidelity::Agent,
             InitialCondition::AllCorrect,
@@ -1541,8 +1368,14 @@ mod tests {
             Fidelity::WithoutReplacement,
         ] {
             let p = FetProtocol::for_population(300, 4.0).unwrap();
-            let mut e =
-                Engine::new(p, spec(300), fidelity, InitialCondition::AllWrong, 11).unwrap();
+            let mut e = Engine::new(
+                Box::new(TypedPopulation::new(p)),
+                spec(300),
+                fidelity,
+                InitialCondition::AllWrong,
+                11,
+            )
+            .unwrap();
             let report = e.run(20_000, ConvergenceCriterion::new(5), &mut NullObserver);
             assert!(report.converged(), "{fidelity:?} failed: {report:?}");
             assert_eq!(report.final_fraction_correct, 1.0);
@@ -1554,7 +1387,7 @@ mod tests {
         // 2ℓ = 64 samples from a population of 20 cannot be distinct.
         let p = FetProtocol::new(32).unwrap();
         let err = Engine::new(
-            p,
+            Box::new(TypedPopulation::new(p)),
             spec(20),
             Fidelity::WithoutReplacement,
             InitialCondition::AllWrong,
@@ -1575,7 +1408,7 @@ mod tests {
         // not indices repeat, so the absorbing argument carries over.
         let p = FetProtocol::for_population(200, 4.0).unwrap();
         let mut e = Engine::new(
-            p,
+            Box::new(TypedPopulation::new(p)),
             spec(200),
             Fidelity::WithoutReplacement,
             InitialCondition::AllWrong,
@@ -1598,7 +1431,7 @@ mod tests {
     fn converged_state_is_absorbing() {
         let p = FetProtocol::for_population(200, 4.0).unwrap();
         let mut e = Engine::new(
-            p,
+            Box::new(TypedPopulation::new(p)),
             spec(200),
             Fidelity::Binomial,
             InitialCondition::AllWrong,
@@ -1621,8 +1454,14 @@ mod tests {
     #[test]
     fn observer_sees_initial_round_and_monotone_round_numbers() {
         let p = FetProtocol::new(6).unwrap();
-        let mut e =
-            Engine::new(p, spec(50), Fidelity::Agent, InitialCondition::Random, 17).unwrap();
+        let mut e = Engine::new(
+            Box::new(TypedPopulation::new(p)),
+            spec(50),
+            Fidelity::Agent,
+            InitialCondition::Random,
+            17,
+        )
+        .unwrap();
         let mut rec = TrajectoryRecorder::new();
         let report = e.run(50, ConvergenceCriterion::new(2), &mut rec);
         assert_eq!(rec.fractions().len() as u64, report.rounds_run + 1);
@@ -1633,7 +1472,7 @@ mod tests {
         let run = |seed: u64| {
             let p = FetProtocol::new(8).unwrap();
             let mut e = Engine::new(
-                p,
+                Box::new(TypedPopulation::new(p)),
                 spec(120),
                 Fidelity::Agent,
                 InitialCondition::Random,
@@ -1652,8 +1491,14 @@ mod tests {
     fn correct_zero_instance_converges_to_zero() {
         let spec0 = ProblemSpec::single_source(300, Opinion::Zero).unwrap();
         let p = FetProtocol::for_population(300, 4.0).unwrap();
-        let mut e =
-            Engine::new(p, spec0, Fidelity::Binomial, InitialCondition::AllWrong, 23).unwrap();
+        let mut e = Engine::new(
+            Box::new(TypedPopulation::new(p)),
+            spec0,
+            Fidelity::Binomial,
+            InitialCondition::AllWrong,
+            23,
+        )
+        .unwrap();
         let report = e.run(20_000, ConvergenceCriterion::new(5), &mut NullObserver);
         assert!(report.converged(), "{report:?}");
         assert!((e.fraction_ones() - 0.0).abs() < 1e-12);
@@ -1663,7 +1508,7 @@ mod tests {
     fn set_state_refreshes_counters() {
         let p = FetProtocol::new(4).unwrap();
         let mut e = Engine::new(
-            p,
+            Box::new(TypedPopulation::new(p)),
             spec(10),
             Fidelity::Agent,
             InitialCondition::AllCorrect,
@@ -1686,7 +1531,7 @@ mod tests {
     fn source_retarget_mid_run_restabilizes() {
         let p = FetProtocol::for_population(300, 4.0).unwrap();
         let mut e = Engine::new(
-            p,
+            Box::new(TypedPopulation::new(p)),
             spec(300),
             Fidelity::Binomial,
             InitialCondition::AllCorrect,
@@ -1711,10 +1556,18 @@ mod tests {
         assert_eq!(e.fraction_ones(), 0.0);
     }
 
-    // ---- PopulationEngine: the erased hot path ----
+    // ---- `Engine<dyn DynPopulation>`: the erased hot path ----
 
     fn fet_population(ell: u32) -> Box<dyn fet_core::population::DynPopulation> {
         ErasedProtocol::new(FetProtocol::new(ell).unwrap()).population()
+    }
+
+    /// The byte-storage output views every byte container shares: no
+    /// bit storage, and the allocating `collect_outputs` equals the
+    /// engine's own `outputs` buffer.
+    fn assert_byte_outputs<A: Population + ?Sized>(engine: &Engine<A>) {
+        assert!(!engine.uses_bit_storage());
+        assert_eq!(engine.collect_outputs(), engine.outputs());
     }
 
     /// Every fidelity, with and without faults: the population-erased
@@ -1735,7 +1588,7 @@ mod tests {
         ];
         for (fidelity, fault) in cases {
             let mut typed = Engine::new(
-                FetProtocol::new(8).unwrap(),
+                Box::new(TypedPopulation::new(FetProtocol::new(8).unwrap())),
                 spec(150),
                 fidelity,
                 InitialCondition::Random,
@@ -1743,7 +1596,7 @@ mod tests {
             )
             .unwrap();
             typed.set_fault_plan(fault);
-            let mut erased = PopulationEngine::new(
+            let mut erased = Engine::new(
                 fet_population(8),
                 spec(150),
                 fidelity,
@@ -1763,6 +1616,8 @@ mod tests {
                 "{fidelity:?}/{fault:?} trajectories diverged"
             );
             assert_eq!(typed.outputs(), erased.outputs());
+            assert_byte_outputs(&typed);
+            assert_byte_outputs(&erased);
         }
     }
 
@@ -1794,7 +1649,7 @@ mod tests {
     #[test]
     fn population_engine_on_a_ring_matches_typed() {
         let mut typed = Engine::with_neighborhood(
-            FetProtocol::new(3).unwrap(),
+            Box::new(TypedPopulation::new(FetProtocol::new(3).unwrap())),
             Box::new(Ring::new(60)),
             2,
             Opinion::One,
@@ -1802,7 +1657,7 @@ mod tests {
             19,
         )
         .unwrap();
-        let mut erased = PopulationEngine::with_neighborhood(
+        let mut erased = Engine::with_neighborhood(
             fet_population(3),
             Box::new(Ring::new(60)),
             2,
@@ -1824,7 +1679,7 @@ mod tests {
         let mut pop = fet_population(4);
         let mut rng = SeedTree::new(1).child("prefill").rng();
         pop.push_agent(Opinion::Zero, &mut rng);
-        let err = PopulationEngine::new(
+        let err = Engine::new(
             pop,
             spec(10),
             Fidelity::Agent,
@@ -1843,7 +1698,7 @@ mod tests {
     // ---- the fused execution mode ----
 
     /// Forced fused rounds replay bit for bit across the typed and
-    /// population-erased front ends, for every per-agent fidelity and the
+    /// population-erased containers, for every per-agent fidelity and the
     /// fault plans the kernel pass supports (noise, retargeting; sleep
     /// rounds take the per-agent loop by design and are covered by
     /// `population_engine_is_stream_identical_to_typed`).
@@ -1861,7 +1716,7 @@ mod tests {
         ];
         for (fidelity, fault) in cases {
             let mut typed = Engine::new(
-                FetProtocol::new(8).unwrap(),
+                Box::new(TypedPopulation::new(FetProtocol::new(8).unwrap())),
                 spec(150),
                 fidelity,
                 InitialCondition::Random,
@@ -1870,7 +1725,7 @@ mod tests {
             .unwrap();
             typed.set_fault_plan(fault);
             typed.set_execution_mode(ExecutionMode::Fused).unwrap();
-            let mut erased = PopulationEngine::new(
+            let mut erased = Engine::new(
                 fet_population(8),
                 spec(150),
                 fidelity,
@@ -1899,7 +1754,7 @@ mod tests {
     #[test]
     fn auto_mode_runs_mean_field_rounds_with_zero_scratch() {
         let mut auto = Engine::new(
-            FetProtocol::new(6).unwrap(),
+            Box::new(TypedPopulation::new(FetProtocol::new(6).unwrap())),
             spec(300),
             Fidelity::Binomial,
             InitialCondition::AllWrong,
@@ -1920,7 +1775,7 @@ mod tests {
     // ---- graph-fused execution ----
 
     /// Graph rounds replay bit for bit across the typed and
-    /// population-erased front ends in every fused mode, and `Auto`
+    /// population-erased containers in every fused mode, and `Auto`
     /// resolves small graph rounds to the fused single pass (same stream
     /// as forcing `Fused`).
     #[test]
@@ -1931,7 +1786,7 @@ mod tests {
             ExecutionMode::FusedParallel { threads: 3 },
         ] {
             let mut typed = Engine::with_neighborhood(
-                FetProtocol::new(3).unwrap(),
+                Box::new(TypedPopulation::new(FetProtocol::new(3).unwrap())),
                 Box::new(Ring::new(61)),
                 2,
                 Opinion::One,
@@ -1940,7 +1795,7 @@ mod tests {
             )
             .unwrap();
             typed.set_execution_mode(mode).unwrap();
-            let mut erased = PopulationEngine::with_neighborhood(
+            let mut erased = Engine::with_neighborhood(
                 fet_population(3),
                 Box::new(Ring::new(61)),
                 2,
@@ -1965,7 +1820,7 @@ mod tests {
     fn graph_auto_resolves_to_fused() {
         let run = |mode: ExecutionMode| {
             let mut e = Engine::with_neighborhood(
-                FetProtocol::new(3).unwrap(),
+                Box::new(TypedPopulation::new(FetProtocol::new(3).unwrap())),
                 Box::new(Ring::new(60)),
                 2,
                 Opinion::One,
@@ -1992,7 +1847,7 @@ mod tests {
     fn graph_fused_scratch_is_exactly_the_double_buffer() {
         let n = 80usize;
         let mut fused = Engine::with_neighborhood(
-            FetProtocol::new(3).unwrap(),
+            Box::new(TypedPopulation::new(FetProtocol::new(3).unwrap())),
             Box::new(Ring::new(n as u32)),
             2,
             Opinion::One,
@@ -2011,7 +1866,7 @@ mod tests {
         );
 
         let mut literal = Engine::new(
-            FetProtocol::new(3).unwrap(),
+            Box::new(TypedPopulation::new(FetProtocol::new(3).unwrap())),
             spec(n as u64),
             Fidelity::Agent,
             InitialCondition::AllWrong,
@@ -2056,7 +1911,9 @@ mod tests {
             }
         }
         let mut e = Engine::with_neighborhood(
-            FetProtocol::for_population(u64::from(n), 4.0).unwrap(),
+            Box::new(TypedPopulation::new(
+                FetProtocol::for_population(u64::from(n), 4.0).unwrap(),
+            )),
             Box::new(Dense { links }),
             1,
             Opinion::One,
@@ -2079,7 +1936,7 @@ mod tests {
     fn fused_converged_state_is_absorbing() {
         let p = FetProtocol::for_population(200, 4.0).unwrap();
         let mut e = Engine::new(
-            p,
+            Box::new(TypedPopulation::new(p)),
             spec(200),
             Fidelity::Binomial,
             InitialCondition::AllWrong,
@@ -2099,7 +1956,7 @@ mod tests {
     // ---- the parallel fused execution mode ----
 
     /// Parallel fused rounds replay bit for bit across the typed and
-    /// population-erased front ends for a fixed (seed, thread count), for
+    /// population-erased containers for a fixed (seed, thread count), for
     /// every mean-field fidelity and the fault plans the fused paths
     /// support.
     #[test]
@@ -2116,7 +1973,7 @@ mod tests {
         let mode = ExecutionMode::FusedParallel { threads: 3 };
         for (fidelity, fault) in cases {
             let mut typed = Engine::new(
-                FetProtocol::new(8).unwrap(),
+                Box::new(TypedPopulation::new(FetProtocol::new(8).unwrap())),
                 spec(151),
                 fidelity,
                 InitialCondition::Random,
@@ -2125,7 +1982,7 @@ mod tests {
             .unwrap();
             typed.set_fault_plan(fault);
             typed.set_execution_mode(mode).unwrap();
-            let mut erased = PopulationEngine::new(
+            let mut erased = Engine::new(
                 fet_population(8),
                 spec(151),
                 fidelity,
@@ -2157,7 +2014,7 @@ mod tests {
     fn fused_parallel_stream_is_keyed_by_shard_count() {
         let run = |threads: u32| {
             let mut e = Engine::new(
-                FetProtocol::new(8).unwrap(),
+                Box::new(TypedPopulation::new(FetProtocol::new(8).unwrap())),
                 spec(150),
                 Fidelity::Binomial,
                 InitialCondition::Random,
@@ -2179,7 +2036,7 @@ mod tests {
         // threads = 1 is still the *sharded* stream (counter-derived shard
         // RNG), not the sequential fused stream.
         let mut fused = Engine::new(
-            FetProtocol::new(8).unwrap(),
+            Box::new(TypedPopulation::new(FetProtocol::new(8).unwrap())),
             spec(150),
             Fidelity::Binomial,
             InitialCondition::Random,
@@ -2195,7 +2052,7 @@ mod tests {
     #[test]
     fn fused_parallel_mode_rejects_zero_threads() {
         let mut mean_field = Engine::new(
-            FetProtocol::new(4).unwrap(),
+            Box::new(TypedPopulation::new(FetProtocol::new(4).unwrap())),
             spec(60),
             Fidelity::Binomial,
             InitialCondition::AllWrong,
@@ -2218,7 +2075,7 @@ mod tests {
     fn fused_parallel_converges_with_zero_scratch() {
         let p = FetProtocol::for_population(200, 4.0).unwrap();
         let mut e = Engine::new(
-            p,
+            Box::new(TypedPopulation::new(p)),
             spec(200),
             Fidelity::Binomial,
             InitialCondition::AllWrong,
@@ -2237,7 +2094,7 @@ mod tests {
 
         // n = 6 agents over 16 shards: trailing shards are empty.
         let mut tiny = Engine::new(
-            FetProtocol::new(2).unwrap(),
+            Box::new(TypedPopulation::new(FetProtocol::new(2).unwrap())),
             spec(6),
             Fidelity::Binomial,
             InitialCondition::AllWrong,
@@ -2282,7 +2139,7 @@ mod tests {
         let n = FUSED_PARALLEL_AUTO_MIN_DRAWS / 20;
         let resolved = |ell: u32, fidelity: Fidelity| {
             Engine::new(
-                FetProtocol::new(ell).unwrap(),
+                Box::new(TypedPopulation::new(FetProtocol::new(ell).unwrap())),
                 spec(n),
                 fidelity,
                 InitialCondition::AllWrong,
@@ -2305,7 +2162,7 @@ mod tests {
         // Graph rounds count n·m the same way: a 10⁵-vertex ring at ℓ = 10.
         let ring = |ell: u32| {
             Engine::with_neighborhood(
-                FetProtocol::new(ell).unwrap(),
+                Box::new(TypedPopulation::new(FetProtocol::new(ell).unwrap())),
                 Box::new(Ring::new(n as u32)),
                 1,
                 Opinion::One,
@@ -2320,7 +2177,7 @@ mod tests {
         // Sleepy rounds run the single-threaded per-agent loop, whatever
         // the mode.
         let mut sleepy = Engine::new(
-            FetProtocol::new(10).unwrap(),
+            Box::new(TypedPopulation::new(FetProtocol::new(10).unwrap())),
             spec(n),
             Fidelity::Agent,
             InitialCondition::AllWrong,
@@ -2370,7 +2227,7 @@ mod tests {
         ];
         for (mode, fidelity, fault) in cases {
             let mut typed = Engine::new(
-                FetProtocol::new(8).unwrap(),
+                Box::new(TypedPopulation::new(FetProtocol::new(8).unwrap())),
                 spec(150),
                 fidelity,
                 InitialCondition::Random,
@@ -2379,7 +2236,7 @@ mod tests {
             .unwrap();
             typed.set_fault_plan(fault);
             typed.set_execution_mode(mode).unwrap();
-            let mut bits = PopulationEngine::new(
+            let mut bits = Engine::new(
                 fet_bit_population(8),
                 spec(150),
                 fidelity,
@@ -2414,7 +2271,7 @@ mod tests {
             ExecutionMode::FusedParallel { threads: 3 },
         ] {
             let mut typed = Engine::with_neighborhood(
-                FetProtocol::new(3).unwrap(),
+                Box::new(TypedPopulation::new(FetProtocol::new(3).unwrap())),
                 Box::new(Ring::new(151)),
                 2,
                 Opinion::One,
@@ -2423,7 +2280,7 @@ mod tests {
             )
             .unwrap();
             typed.set_execution_mode(mode).unwrap();
-            let mut bits = PopulationEngine::with_neighborhood(
+            let mut bits = Engine::with_neighborhood(
                 fet_bit_population(3),
                 Box::new(Ring::new(151)),
                 2,
@@ -2450,7 +2307,7 @@ mod tests {
     /// buffer.
     #[test]
     fn bit_storage_has_no_byte_outputs() {
-        let e = PopulationEngine::new(
+        let e = Engine::new(
             fet_bit_population(4),
             spec(60),
             Fidelity::Binomial,
@@ -2469,7 +2326,7 @@ mod tests {
     /// bit/agent where the byte engine keeps 1 byte/agent.
     #[test]
     fn bit_storage_scratch_is_the_word_snapshot() {
-        let mut mean_field = PopulationEngine::new(
+        let mut mean_field = Engine::new(
             fet_bit_population(6),
             spec(300),
             Fidelity::Binomial,
@@ -2482,7 +2339,7 @@ mod tests {
         }
         assert_eq!(mean_field.round_scratch_bytes(), 0);
 
-        let mut ring = PopulationEngine::with_neighborhood(
+        let mut ring = Engine::with_neighborhood(
             fet_bit_population(3),
             Box::new(Ring::new(640)),
             2,
@@ -2504,7 +2361,7 @@ mod tests {
 
     #[test]
     fn population_engine_clones_run_independently() {
-        let mut a = PopulationEngine::new(
+        let mut a = Engine::new(
             fet_population(6),
             spec(80),
             Fidelity::Binomial,
@@ -2524,7 +2381,7 @@ mod tests {
     fn event_free_schedule_is_stream_identical_to_plan() {
         let base = FaultPlan::with_noise(0.02).unwrap();
         let mut plain = Engine::new(
-            FetProtocol::new(8).unwrap(),
+            Box::new(TypedPopulation::new(FetProtocol::new(8).unwrap())),
             spec(150),
             Fidelity::Binomial,
             InitialCondition::Random,
@@ -2533,7 +2390,7 @@ mod tests {
         .unwrap();
         plain.set_fault_plan(base);
         let mut scheduled = Engine::new(
-            FetProtocol::new(8).unwrap(),
+            Box::new(TypedPopulation::new(FetProtocol::new(8).unwrap())),
             spec(150),
             Fidelity::Binomial,
             InitialCondition::Random,
@@ -2556,7 +2413,9 @@ mod tests {
     #[test]
     fn trend_switches_yield_per_switch_recovery_records() {
         let mut e = Engine::new(
-            FetProtocol::for_population(300, 4.0).unwrap(),
+            Box::new(TypedPopulation::new(
+                FetProtocol::for_population(300, 4.0).unwrap(),
+            )),
             spec(300),
             Fidelity::Binomial,
             InitialCondition::AllCorrect,
@@ -2633,7 +2492,7 @@ mod tests {
             ExecutionMode::FusedParallel { threads: 3 },
         ] {
             let mut typed = Engine::new(
-                FetProtocol::new(8).unwrap(),
+                Box::new(TypedPopulation::new(FetProtocol::new(8).unwrap())),
                 spec(150),
                 Fidelity::Binomial,
                 InitialCondition::Random,
@@ -2642,7 +2501,7 @@ mod tests {
             .unwrap();
             typed.set_execution_mode(mode).unwrap();
             typed.set_fault_schedule(&schedule);
-            let mut bits = PopulationEngine::new(
+            let mut bits = Engine::new(
                 fet_bit_population(8),
                 spec(150),
                 Fidelity::Binomial,
@@ -2673,7 +2532,9 @@ mod tests {
     #[test]
     fn noise_burst_window_restores_base_level() {
         let mut e = Engine::new(
-            FetProtocol::for_population(300, 4.0).unwrap(),
+            Box::new(TypedPopulation::new(
+                FetProtocol::for_population(300, 4.0).unwrap(),
+            )),
             spec(300),
             Fidelity::Binomial,
             InitialCondition::AllCorrect,
@@ -2711,8 +2572,8 @@ mod tests {
         assert!(records[0].restabilized_at.is_some());
     }
 
-    /// `PopulationEngine::from_population` replays `Engine::from_states`
-    /// for byte containers and accepts pre-filled bit-plane containers.
+    /// `Engine::from_population` replays the same explicit states from a
+    /// typed container and from a pre-filled bit-plane container.
     #[test]
     fn population_engine_from_population_replays_from_states() {
         let protocol = FetProtocol::new(4).unwrap();
@@ -2729,11 +2590,13 @@ mod tests {
                 }
             })
             .collect();
-        let mut typed = Engine::from_states(
-            protocol.clone(),
+        let mut typed = Engine::from_population(
+            Box::new(TypedPopulation::from_states(
+                protocol.clone(),
+                states.clone(),
+            )),
             spec(150),
             Fidelity::Binomial,
-            states.clone(),
             31,
         )
         .unwrap();
@@ -2741,8 +2604,7 @@ mod tests {
             protocol, &states,
         ));
         let mut bits =
-            PopulationEngine::from_population(container, spec(150), Fidelity::Binomial, 31)
-                .unwrap();
+            Engine::from_population(container, spec(150), Fidelity::Binomial, 31).unwrap();
         let mut rec_t = TrajectoryRecorder::new();
         let mut rec_b = TrajectoryRecorder::new();
         let rt = typed.run(120, ConvergenceCriterion::new(3), &mut rec_t);

@@ -40,7 +40,7 @@
 //!
 //! The one-stop entry point is the [`simulation::Simulation`] builder;
 //! synchronous runs execute on the zero-copy population-erased path (see
-//! [`engine::PopulationEngine`]):
+//! [`engine::Engine`]):
 //!
 //! ```
 //! use fet_sim::simulation::Simulation;
@@ -80,7 +80,7 @@ pub mod prelude {
     pub use crate::asynchronous::AsyncEngine;
     pub use crate::batch::{parallel_map, BatchSummary};
     pub use crate::convergence::{ConvergenceCriterion, ConvergenceReport};
-    pub use crate::engine::{Engine, ExecutionMode, Fidelity, PopulationEngine};
+    pub use crate::engine::{Engine, ExecutionMode, Fidelity};
     pub use crate::error::SimError;
     pub use crate::experiment::{run_fet_once, ExperimentSpec, RunOutcome};
     pub use crate::fault::FaultPlan;

@@ -34,14 +34,13 @@
 //! Running yields a uniform [`RunReport`] regardless of the execution
 //! strategy chosen underneath.
 //!
-//! Synchronous runs — however the protocol was chosen — execute on the
-//! [`PopulationEngine`]: the protocol handle builds a type-erased
-//! *population container* (one contiguous buffer of concrete states, see
-//! [`fet_core::population`]) and every round dispatches once into the typed
-//! fused kernel. A registry-name run is therefore stream-identical to, and
-//! within a few percent of, the equivalent typed `Engine<P>` run; the older
-//! per-agent boxed route (`Engine<ErasedProtocol>`) remains available for
-//! code that needs owned boxed states but is no longer used here.
+//! Synchronous runs — however the protocol was chosen — execute on
+//! `Engine<dyn DynPopulation>` ([`Engine`]): the protocol handle builds a
+//! type-erased *population container* (one contiguous buffer of concrete
+//! states, or packed bit planes, see [`fet_core::population`]) and every
+//! round dispatches once into the typed fused kernel. A registry-name run
+//! is therefore stream-identical to, and within a few percent of, the
+//! equivalent typed `Engine<TypedPopulation<P>>` run.
 //!
 //! # Example
 //!
@@ -72,7 +71,7 @@ use crate::asynchronous::AsyncEngine;
 use crate::convergence::{
     ConvergenceCriterion, ConvergenceDetector, ConvergenceReport, RecoveryRecord,
 };
-use crate::engine::{ExecutionMode, Fidelity, PopulationEngine};
+use crate::engine::{Engine, ExecutionMode, Fidelity};
 use crate::error::SimError;
 use crate::fault::{FaultPlan, FaultSchedule};
 use crate::init::InitialCondition;
@@ -82,6 +81,7 @@ use fet_core::config::{ell_for_population, ProblemSpec};
 use fet_core::erased::ErasedProtocol;
 use fet_core::fet::FetProtocol;
 use fet_core::opinion::Opinion;
+use fet_core::population::DynPopulation;
 use fet_core::protocol::Protocol;
 use fet_protocols::registry::{ProtocolParams, ProtocolRegistry};
 use fet_stats::binomial::sample_binomial;
@@ -228,8 +228,8 @@ enum Runner {
     /// The synchronous hot path: the generic round loop over a type-erased
     /// *population container* (one contiguous typed state buffer — zero
     /// per-round allocation or cloning), stream-identical to the typed
-    /// `Engine<P>` for the same seed.
-    Sync(Box<PopulationEngine>),
+    /// engine for the same seed.
+    Sync(Box<Engine<dyn DynPopulation>>),
     /// The per-activation scheduler steps one agent at a time, so it keeps
     /// the per-agent erased representation.
     Async(Box<AsyncEngine<ErasedProtocol>>),
@@ -357,7 +357,7 @@ impl Simulation {
     }
 
     /// Installs a round-indexed fault schedule mid-run (see
-    /// [`PopulationEngine::set_fault_schedule`]); event rounds are
+    /// [`Engine::set_fault_schedule`]); event rounds are
     /// absolute, so events scheduled before the current round never fire.
     ///
     /// # Errors
@@ -995,7 +995,7 @@ impl SimulationBuilder {
                     _ => protocol.population(),
                 };
                 let mut engine = match self.topology {
-                    Some(topology) => PopulationEngine::with_neighborhood(
+                    Some(topology) => Engine::with_neighborhood(
                         population,
                         topology,
                         u32::try_from(self.num_sources).map_err(|_| {
@@ -1005,9 +1005,7 @@ impl SimulationBuilder {
                         self.init,
                         self.seed,
                     )?,
-                    None => {
-                        PopulationEngine::new(population, spec, per_agent, self.init, self.seed)?
-                    }
+                    None => Engine::new(population, spec, per_agent, self.init, self.seed)?,
                 };
                 match &self.schedule {
                     Some(schedule) => engine.set_fault_schedule(schedule),

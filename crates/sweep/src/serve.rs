@@ -21,6 +21,9 @@
 //!
 //! A disconnected client (failed write) cancels its submission's queued
 //! episodes; in-flight ones finish and are discarded.
+//!
+//! At most 32 connections are handled at once, one thread each; the
+//! accept thread answers any further one with `503` and closes it.
 
 use crate::cache::WarmCache;
 use crate::error::SweepError;
@@ -29,7 +32,7 @@ use crate::spec::{EpisodeRecord, SweepSpec};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -38,6 +41,11 @@ use std::time::Duration;
 /// the cap exists so a bogus `Content-Length` cannot make the daemon
 /// allocate unbounded memory.
 const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// Most connections handled at once. Each holds a thread (a sweep's
+/// stream holds it for the whole sweep), so the cap bounds the daemon's
+/// threads however many clients connect.
+const MAX_CONNECTIONS: usize = 32;
 
 /// One client-submitted sweep.
 struct Submission {
@@ -65,6 +73,8 @@ struct Shared {
     cache: WarmCache,
     completed: AtomicU64,
     submitted: AtomicU64,
+    /// Connections currently held by a handler thread.
+    connections: AtomicUsize,
     workers: usize,
 }
 
@@ -94,6 +104,7 @@ impl SweepServer {
             cache: WarmCache::new(),
             completed: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
+            connections: AtomicUsize::new(0),
             workers,
         });
         let mut threads = Vec::with_capacity(workers + 1);
@@ -148,13 +159,28 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             return;
         }
         match listener.accept() {
-            Ok((stream, _)) => {
+            Ok((mut stream, _)) => {
+                // Only this thread takes slots, so the check cannot race
+                // past the cap.
+                if shared.connections.load(Ordering::Acquire) >= MAX_CONNECTIONS {
+                    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
+                    let err = Json::object([(
+                        "error",
+                        Json::Str(format!(
+                            "the daemon is serving {MAX_CONNECTIONS} connections; retry later"
+                        )),
+                    )])
+                    .to_string();
+                    let _ = respond(&mut stream, 503, "application/json", &err);
+                    continue;
+                }
+                shared.connections.fetch_add(1, Ordering::AcqRel);
                 let shared = Arc::clone(shared);
-                // One thread per connection: connections are few (this is
-                // a lab daemon, not an internet service) and each may
-                // block on streaming for the lifetime of a sweep.
+                // One thread per connection: each may block on streaming
+                // for the lifetime of a sweep.
                 std::thread::spawn(move || {
                     let _ = handle_connection(stream, &shared);
+                    shared.connections.fetch_sub(1, Ordering::AcqRel);
                 });
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -387,6 +413,7 @@ fn respond(
         400 => "Bad Request",
         404 => "Not Found",
         413 => "Payload Too Large",
+        503 => "Service Unavailable",
         _ => "Method Not Allowed",
     };
     write!(
@@ -448,6 +475,36 @@ mod tests {
         let mut response = String::new();
         conn.read_to_string(&mut response).unwrap();
         assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+    }
+
+    /// Past the cap the accept thread answers `503` itself; once the held
+    /// connections close, the daemon serves again. Never more than
+    /// `MAX_CONNECTIONS + 1` connections are open at once.
+    #[test]
+    fn connections_past_the_cap_get_503() {
+        let server = SweepServer::bind("127.0.0.1:0", 1).unwrap();
+        let held: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+            .map(|_| TcpStream::connect(server.local_addr()).unwrap())
+            .collect();
+        let mut extra = TcpStream::connect(server.local_addr()).unwrap();
+        let mut response = String::new();
+        extra.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 503"), "{response}");
+        drop(extra);
+        drop(held);
+        // The handlers see EOF and release their slots.
+        let mut response = String::new();
+        for _ in 0..200 {
+            let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+            write!(conn, "GET /status HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+            response.clear();
+            conn.read_to_string(&mut response).unwrap();
+            if response.starts_with("HTTP/1.1 200") {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        panic!("slots were never released: {response}");
     }
 
     #[test]

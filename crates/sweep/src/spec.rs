@@ -445,12 +445,15 @@ impl SweepSpec {
                 }
             }
         }
-        let episodes = self.episode_count();
         const MAX_EPISODES: u64 = 10_000_000;
-        if episodes > MAX_EPISODES {
-            return Err(SweepError::spec(format!(
-                "{episodes} episodes exceeds the {MAX_EPISODES} cap; shrink the grid"
-            )));
+        match self.checked_episode_count() {
+            Some(episodes) if episodes <= MAX_EPISODES => {}
+            episodes => {
+                let episodes = episodes.map_or_else(|| "2^64 or more".into(), |e| e.to_string());
+                return Err(SweepError::spec(format!(
+                    "{episodes} episodes exceeds the {MAX_EPISODES} cap; shrink the grid"
+                )));
+            }
         }
         if self.topology.is_some() && self.fidelity != Fidelity::Agent {
             return Err(SweepError::spec(
@@ -574,17 +577,39 @@ impl SweepSpec {
 
     /// Number of grid cells
     /// (`n × noise × ℓ × switch_period × corruption` points).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the count overflows `u64`, which
+    /// [`SweepSpec::validate`] rejects.
     pub fn cell_count(&self) -> u64 {
-        self.n.len() as u64
-            * self.noise.len() as u64
-            * self.ell_axis_len()
-            * self.switch_axis_len()
-            * self.corruption_axis_len()
+        self.checked_cell_count().expect("grid size overflows u64")
     }
 
     /// Total episodes (cells × seeds).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the count overflows `u64`, which
+    /// [`SweepSpec::validate`] rejects.
     pub fn episode_count(&self) -> u64 {
-        self.cell_count() * self.seeds.count
+        self.checked_episode_count()
+            .expect("episode count overflows u64")
+    }
+
+    fn checked_cell_count(&self) -> Option<u64> {
+        [
+            self.noise.len() as u64,
+            self.ell_axis_len(),
+            self.switch_axis_len(),
+            self.corruption_axis_len(),
+        ]
+        .into_iter()
+        .try_fold(self.n.len() as u64, u64::checked_mul)
+    }
+
+    fn checked_episode_count(&self) -> Option<u64> {
+        self.checked_cell_count()?.checked_mul(self.seeds.count)
     }
 
     fn ell_axis_len(&self) -> u64 {
@@ -1164,6 +1189,18 @@ mod tests {
         let mut b = a.clone();
         b.seeds.count = 5;
         assert_ne!(a.hash(), b.hash());
+    }
+
+    #[test]
+    fn overflowing_episode_count_is_a_spec_error() {
+        // 4 cells × 2^62 seeds = 2^64 episodes, which wraps to 0 in
+        // unchecked u64 arithmetic and would slip under the cap.
+        let err = SweepSpec::parse(
+            r#"{"n": [100, 200, 300, 400], "seeds": {"count": 4611686018427387904}}"#,
+        )
+        .unwrap_err();
+        assert!(matches!(err, SweepError::Spec { .. }), "{err}");
+        assert!(err.to_string().contains("cap"), "{err}");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Error type for graph construction and the topology engine.
+//! Error type for graph construction.
 
 use std::error::Error;
 use std::fmt;
@@ -20,12 +20,6 @@ pub enum TopologyError {
         /// The number of vertices in the graph.
         n: u32,
     },
-    /// The graph contains an isolated vertex, which cannot observe anyone
-    /// under the PULL model and therefore cannot run any protocol.
-    IsolatedVertex {
-        /// The isolated vertex id.
-        vertex: u32,
-    },
     /// A randomized generator exhausted its retry budget (the
     /// configuration-model pairing for random-regular graphs can collide).
     GenerationFailed {
@@ -34,8 +28,6 @@ pub enum TopologyError {
         /// Number of attempts made.
         attempts: u32,
     },
-    /// A configuration error bubbled up from `fet-sim`.
-    Sim(fet_sim::SimError),
 }
 
 impl fmt::Display for TopologyError {
@@ -47,12 +39,6 @@ impl fmt::Display for TopologyError {
             TopologyError::VertexOutOfRange { vertex, n } => {
                 write!(f, "vertex {vertex} out of range for graph on {n} vertices")
             }
-            TopologyError::IsolatedVertex { vertex } => {
-                write!(
-                    f,
-                    "vertex {vertex} is isolated and cannot observe any agent"
-                )
-            }
             TopologyError::GenerationFailed {
                 generator,
                 attempts,
@@ -62,25 +48,11 @@ impl fmt::Display for TopologyError {
                     "generator `{generator}` failed after {attempts} attempts"
                 )
             }
-            TopologyError::Sim(e) => write!(f, "{e}"),
         }
     }
 }
 
-impl Error for TopologyError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            TopologyError::Sim(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<fet_sim::SimError> for TopologyError {
-    fn from(e: fet_sim::SimError) -> Self {
-        TopologyError::Sim(e)
-    }
-}
+impl Error for TopologyError {}
 
 #[cfg(test)]
 mod tests {
@@ -94,7 +66,6 @@ mod tests {
                 detail: "must be in [0, 1]".into(),
             },
             TopologyError::VertexOutOfRange { vertex: 9, n: 5 },
-            TopologyError::IsolatedVertex { vertex: 3 },
             TopologyError::GenerationFailed {
                 generator: "random_regular",
                 attempts: 100,
@@ -109,14 +80,5 @@ mod tests {
     fn error_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<TopologyError>();
-    }
-
-    #[test]
-    fn sim_error_wraps_with_source() {
-        let e = TopologyError::from(fet_sim::SimError::InvalidParameter {
-            name: "states",
-            detail: "mismatch".into(),
-        });
-        assert!(Error::source(&e).is_some());
     }
 }

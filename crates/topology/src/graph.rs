@@ -264,21 +264,6 @@ impl Graph {
         })
     }
 
-    /// Ensures no vertex is isolated — required by the PULL engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TopologyError::IsolatedVertex`] naming the first isolated
-    /// vertex.
-    pub fn ensure_no_isolated_vertex(&self) -> Result<(), TopologyError> {
-        for v in 0..self.n() {
-            if self.degree(v) == 0 {
-                return Err(TopologyError::IsolatedVertex { vertex: v });
-            }
-        }
-        Ok(())
-    }
-
     /// The raw CSR offset array: `csr_offsets()[v]..csr_offsets()[v + 1]`
     /// indexes [`Graph::csr_neighbors`] for vertex `v` (length `n + 1`).
     ///
@@ -318,10 +303,11 @@ impl fet_sim::neighborhood::Neighborhood for Graph {
 /// `Neighborhood` whose `clone_box` is a reference-count bump instead of
 /// an `O(n + m)` CSR copy.
 ///
-/// [`crate::engine::TopologyEngine`] hands the engine this form so that
-/// engine clones (trajectory snapshots, batch replication) and the
-/// engine's own boxed copy all read one adjacency structure — and so
-/// graph-fused shard workers share it without any duplication.
+/// Hand the engine this form (`Engine::with_neighborhood(…,
+/// Box::new(SharedGraph::from(graph)), …)`) so that engine clones
+/// (trajectory snapshots, batch replication) and the engine's own boxed
+/// copy all read one adjacency structure — and so graph-fused shard
+/// workers share it without any duplication.
 ///
 /// # Example
 ///
@@ -470,10 +456,8 @@ mod tests {
         let g = Graph::from_edges(1, &[]).unwrap();
         assert!(g.is_connected());
         assert_eq!(g.connected_components(), 1);
-        assert!(matches!(
-            g.ensure_no_isolated_vertex(),
-            Err(TopologyError::IsolatedVertex { vertex: 0 })
-        ));
+        let err = fet_sim::neighborhood::ensure_observable(&g).unwrap_err();
+        assert!(err.to_string().contains("vertex 0"), "{err}");
     }
 
     #[test]

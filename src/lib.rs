@@ -87,7 +87,7 @@ pub mod prelude {
     pub use fet_gauntlet::{run_gauntlet, GauntletOptions, GauntletSpec};
     pub use fet_protocols::registry::{ProtocolParams, ProtocolRegistry};
     pub use fet_sim::convergence::{ConvergenceCriterion, ConvergenceReport};
-    pub use fet_sim::engine::{Engine, ExecutionMode, Fidelity, PopulationEngine};
+    pub use fet_sim::engine::{Engine, ExecutionMode, Fidelity};
     pub use fet_sim::experiment::{run_fet_once, run_protocol_once, ExperimentSpec, RunOutcome};
     pub use fet_sim::fault::{FaultEvent, FaultPlan, FaultSchedule};
     pub use fet_sim::neighborhood::Neighborhood;
@@ -95,6 +95,5 @@ pub mod prelude {
     pub use fet_stats::rng::SeedTree;
     pub use fet_sweep::runner::{run_sweep, SweepOptions, SweepOutcome};
     pub use fet_sweep::spec::SweepSpec;
-    pub use fet_topology::engine::TopologyEngine;
-    pub use fet_topology::graph::{Graph, GraphStats};
+    pub use fet_topology::graph::{Graph, GraphStats, SharedGraph};
 }

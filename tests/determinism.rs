@@ -63,7 +63,7 @@ fn typed_trajectory(shards: u32, fidelity: Fidelity, fault: FaultPlan) -> Vec<f6
     let ell = ell_for_population(N, 4.0);
     let spec = ProblemSpec::single_source(N, Opinion::One).unwrap();
     let mut engine = Engine::new(
-        FetProtocol::new(ell).unwrap(),
+        Box::new(TypedPopulation::new(FetProtocol::new(ell).unwrap())),
         spec,
         fidelity,
         InitialCondition::AllWrong,
@@ -155,7 +155,7 @@ fn regular_graph() -> fet::topology::graph::Graph {
 fn graph_typed_trajectory(shards: u32, fault: FaultPlan) -> Vec<f64> {
     let ell = ell_for_population(N, 4.0);
     let mut engine = Engine::with_neighborhood(
-        FetProtocol::new(ell).unwrap(),
+        Box::new(TypedPopulation::new(FetProtocol::new(ell).unwrap())),
         Box::new(regular_graph()),
         1,
         Opinion::One,

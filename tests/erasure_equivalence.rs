@@ -1,7 +1,7 @@
 //! The erased-execution guarantees, checked from the outside:
 //!
-//! 1. Typed `Engine<P>`, the legacy per-agent boxed route
-//!    (`Engine<ErasedProtocol>`), the population-erased facade path
+//! 1. The typed engine, the legacy per-agent boxed route
+//!    (`TypedPopulation<ErasedProtocol>`), the population-erased facade path
 //!    (`Simulation::builder().protocol_name(..)`), and the **bit-plane**
 //!    facade path (`.storage(Storage::BitPlane)`) replay **identical**
 //!    trajectories for the same seed — representation (erasure *and*
@@ -71,8 +71,14 @@ where
     P::State: 'static,
 {
     let spec = ProblemSpec::single_source(N, Opinion::One).unwrap();
-    let mut engine =
-        Engine::new(protocol, spec, fidelity, InitialCondition::AllWrong, SEED).unwrap();
+    let mut engine = Engine::new(
+        Box::new(TypedPopulation::new(protocol)),
+        spec,
+        fidelity,
+        InitialCondition::AllWrong,
+        SEED,
+    )
+    .unwrap();
     let mut rec = TrajectoryRecorder::new();
     let report = engine.run(MAX_ROUNDS, ConvergenceCriterion::new(WINDOW), &mut rec);
     (report, rec.into_fractions())

@@ -76,7 +76,7 @@ fn builder_misuse_is_rejected_with_specific_errors() {
     let p = FetProtocol::new(8).unwrap();
     let spec = fet::core::config::ProblemSpec::single_source(100, Opinion::One).unwrap();
     let err = Engine::new(
-        p,
+        Box::new(TypedPopulation::new(p)),
         spec,
         Fidelity::Aggregate,
         fet::sim::init::InitialCondition::AllWrong,

@@ -1,8 +1,8 @@
 //! The synchronous round's two guarantees, checked from the outside:
 //!
 //! 1. **Determinism / representation-independence** — a fused run is its
-//!    own deterministic stream: for one seed, the typed `Engine<P>`, the
-//!    per-agent boxed route (`Engine<ErasedProtocol>`), and the facade's
+//!    own deterministic stream: for one seed, the typed engine, the
+//!    per-agent boxed route (`TypedPopulation<ErasedProtocol>`), and the facade's
 //!    population-erased path replay **identical** fused trajectories, at
 //!    the binomial and the literal agent fidelity alike; mean-field runs
 //!    allocate no per-round snapshot (`round_scratch_bytes() == 0`).
@@ -39,8 +39,14 @@ where
     P::State: 'static,
 {
     let spec = ProblemSpec::single_source(N, Opinion::One).unwrap();
-    let mut engine =
-        Engine::new(protocol, spec, fidelity, InitialCondition::AllWrong, SEED).unwrap();
+    let mut engine = Engine::new(
+        Box::new(TypedPopulation::new(protocol)),
+        spec,
+        fidelity,
+        InitialCondition::AllWrong,
+        SEED,
+    )
+    .unwrap();
     engine.set_execution_mode(mode).unwrap();
     let mut rec = TrajectoryRecorder::new();
     let report = engine.run(MAX_ROUNDS, ConvergenceCriterion::new(WINDOW), &mut rec);
@@ -155,7 +161,7 @@ fn fet_literal_agent_vs_binomial_convergence_times_agree() {
     let run = |fidelity: Fidelity, seed: u64| -> f64 {
         let spec = ProblemSpec::single_source(n, Opinion::One).unwrap();
         let mut engine = Engine::new(
-            FetProtocol::new(ell).unwrap(),
+            Box::new(TypedPopulation::new(FetProtocol::new(ell).unwrap())),
             spec,
             fidelity,
             InitialCondition::AllWrong,
@@ -205,7 +211,7 @@ fn three_majority_literal_agent_vs_binomial_marginals_agree() {
     let run = |fidelity: Fidelity, seed: u64| -> f64 {
         let spec = ProblemSpec::single_source(n, Opinion::One).unwrap();
         let mut engine = Engine::new(
-            ThreeMajorityProtocol::new(),
+            Box::new(TypedPopulation::new(ThreeMajorityProtocol::new())),
             spec,
             fidelity,
             InitialCondition::Random,

@@ -4,8 +4,8 @@
 //!
 //! 1. **Determinism / representation-independence** — a graph-fused run
 //!    is its own deterministic stream: for one seed (and, for the
-//!    parallel mode, one shard count), the typed `Engine<P>`, the legacy
-//!    boxed route (`Engine<ErasedProtocol>`), the facade's
+//!    parallel mode, one shard count), the typed engine, the legacy
+//!    boxed route (`TypedPopulation<ErasedProtocol>`), the facade's
 //!    population-erased path, and the facade's bit-plane path
 //!    (`.storage(Storage::BitPlane)`) replay **identical** trajectories,
 //!    and the only auxiliary memory any of them keeps is the persistent
@@ -50,7 +50,7 @@ where
     P::State: 'static,
 {
     let mut engine = Engine::with_neighborhood(
-        protocol,
+        Box::new(TypedPopulation::new(protocol)),
         Box::new(expander(N)),
         1,
         Opinion::One,
@@ -167,7 +167,9 @@ fn fet_graph_fused_vs_parallel_convergence_times_agree() {
     let reps = 40u64;
     let run = |mode: ExecutionMode, seed: u64| -> f64 {
         let mut engine = Engine::with_neighborhood(
-            FetProtocol::for_population(u64::from(n), 4.0).unwrap(),
+            Box::new(TypedPopulation::new(
+                FetProtocol::for_population(u64::from(n), 4.0).unwrap(),
+            )),
             Box::new(expander(n)),
             1,
             Opinion::One,
@@ -223,7 +225,7 @@ fn graph_fused_fault_plans_replay_and_match_facade() {
     ] {
         let typed = || {
             let mut engine = Engine::with_neighborhood(
-                FetProtocol::new(ell).unwrap(),
+                Box::new(TypedPopulation::new(FetProtocol::new(ell).unwrap())),
                 Box::new(expander(N)),
                 1,
                 Opinion::One,

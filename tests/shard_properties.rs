@@ -158,7 +158,7 @@ proptest! {
         let run = || {
             let spec = ProblemSpec::single_source(n, Opinion::One).unwrap();
             let mut engine = Engine::new(
-                FetProtocol::new(2).unwrap(),
+                Box::new(TypedPopulation::new(FetProtocol::new(2).unwrap())),
                 spec,
                 Fidelity::Binomial,
                 InitialCondition::Random,
@@ -259,7 +259,7 @@ proptest! {
         let n = (2 * half_n + 1) as u32;
         let run = || {
             let mut engine = Engine::with_neighborhood(
-                FetProtocol::new(2).unwrap(),
+                Box::new(TypedPopulation::new(FetProtocol::new(2).unwrap())),
                 Box::new(irregular_graph(kind, n)),
                 1,
                 Opinion::One,
